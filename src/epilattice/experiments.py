@@ -229,7 +229,7 @@ def run_hydro_sweep(config: ExperimentConfig) -> HydroResult:
         errs = np.empty((config.replicas, 2))
         for replica in range(config.replicas):
             seed = derive_seed(config.seed, L, replica)
-            state = init_random(kernel, config.beta, rho0.ravel(), rho1.ravel(),
+            state = init_random(kernel, config.beta, rho0, rho1,
                                 make_rng(seed))
             samples = run_sampled(state, sample_times, test_funcs)
             emp = np.stack([s.averages for s in samples])
@@ -367,7 +367,7 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
         start = time.perf_counter()
         if config.init == "random":
             rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
-            state = init_random(kernel, config.beta, rho0.ravel(), rho1.ravel(), rng)
+            state = init_random(kernel, config.beta, rho0, rho1, rng)
         elif config.init.startswith("exact:"):
             parts = config.init[len("exact:"):].split(",")
             if len(parts) != 2:

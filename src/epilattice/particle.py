@@ -5,29 +5,32 @@ site x becomes infected at rate
 
     beta * gamma^d * sum_y 1{eta(y) = 1} * w[x - y],
 
-an infected site recovers at rate 1, and events are realized one at a time:
-exponential waiting time at the total rate, then a proportional choice of
-the event. Nothing is approximated — the simulator implements the jump chain
-of the continuous-time Markov process exactly.
+an infected site recovers at rate 1, and events are realized one at a time.
+Nothing is approximated — the simulator implements the jump chain of the
+continuous-time Markov process exactly. Two samplers realize it:
 
-Two interchangeable rate structures sit under the loop:
-
-* finite-support kernels keep a per-site infection-rate cache, updated
-  incrementally over the kernel support at every flip and periodically
-  rebuilt from scratch (float drift is audited, not trusted); the event site
-  is drawn by inverting the prefix sum of the cache;
+* finite-support kernels use thinning (Lewis & Shedler 1979; Cota &
+  Ferreira 2017): every infected site recovers at rate 1 and fires
+  infection attempts at the constant rate c = beta * gamma^d * sum(w), each
+  aimed at y + z with probability w[z] / sum(w). An attempt commits only
+  when its target is susceptible; a rejected one changes nothing but the
+  clock. The proposal rate n_inf * (1 + c) is known exactly, no rate is
+  stored, and a committed event costs at most 1 + c attempts on average;
 * the mean-field kernel makes every susceptible site equivalent — the whole
   infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
-  the site is drawn uniformly from a susceptible registry. This keeps the
-  mean-field total-rate identity exact rather than subject to cache drift.
+  the site is drawn uniformly from a susceptible registry.
 
-Waiting times and selections consume the generator in a fixed per-event
-order, so a run is bit-reproducible from (seed, config).
+Per-site rates are computed on demand from the infected registry
+(``site_rates``) and audited against the convolution definition
+(``audit_rates``). Random numbers are consumed in a fixed per-event order,
+on the thinning path from blocks of ``UNIFORM_BLOCK`` uniforms, so a run is
+bit-reproducible from (seed, config).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+import math
+from bisect import bisect_right
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,11 +46,14 @@ SUSCEPTIBLE = 0
 INFECTED = 1
 REMOVED = -1
 
-#: Events between unconditional from-scratch rate rebuilds.
-REBUILD_INTERVAL = 1_000_000
-
-#: Cache drift (max abs) beyond which an audit replaces the cache.
+#: Audit tolerance: largest max-abs difference allowed between the rates the
+#: sampler realizes (``site_rates``) and their definition
+#: (``fresh_site_rates``).
 DRIFT_REBUILD_TOL = 1e-9
+
+#: Uniforms the thinning sampler draws from the generator at a time; fixed,
+#: so that consumption is a function of (seed, config) alone.
+UNIFORM_BLOCK = 4096
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -55,6 +61,12 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """Endless uniforms on [0, 1), drawn ``UNIFORM_BLOCK`` at a time."""
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 class EventRecord(NamedTuple):
@@ -107,6 +119,8 @@ class EpidemicState:
         self.rng = rng
         self.time = 0.0
         self.events = 0
+        #: proposals drawn: committed events plus rejected thinning attempts
+        self.attempts = 0
         self.uniform_path = kernel.uniform
 
         n = grid.n_sites
@@ -129,11 +143,12 @@ class EpidemicState:
         else:
             self._offsets = kernel.offsets.astype(np.int64)
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
-            self._strides = np.array(
-                [grid.L**k for k in range(grid.d - 1, -1, -1)], dtype=np.int64)
-            self.site_rate = np.zeros(n)
-            self._events_since_rebuild = 0
-            self.rebuild_rates()
+            self._attempt_rate = float(self._contrib.sum())
+            self._cum_weights = np.cumsum(kernel.weights).tolist()
+            # per offset, (stride, step) along each axis of the flat index
+            strides = [grid.L**k for k in range(grid.d - 1, -1, -1)]
+            self._shifts = [tuple(zip(strides, z)) for z in self._offsets.tolist()]
+            self._uniform = _uniform_stream(rng).__next__
 
     # -- registry plumbing ---------------------------------------------------
 
@@ -148,33 +163,34 @@ class EpidemicState:
         pos[last] = k
         pos[site] = -1
 
-    def _neighbors(self, site: int) -> np.ndarray:
-        """Flat indices of site + support offsets (distinct by construction)."""
-        L = self.grid.L
-        if self.grid.d == 1:
-            return (site + self._offsets[:, 0]) % L
-        coords = np.empty(self.grid.d, dtype=np.int64)
-        rem = site
-        for axis in range(self.grid.d - 1, -1, -1):
-            coords[axis] = rem % L
-            rem //= L
-        return ((coords + self._offsets) % L) @ self._strides
-
     # -- rates ---------------------------------------------------------------
 
     def infection_rate_total(self) -> float:
         """Total rate of the infection channel."""
         if self.uniform_path:
             return self._unit_rate * self.n_sus * self.n_inf
-        return float(self.site_rate.sum())
+        return float(self.site_rates().sum())
 
     def site_rates(self) -> np.ndarray:
-        """Per-site infection rates (the cache, or the exact closed form)."""
+        """Per-site infection rates from the infected registry.
+
+        Each registered infected site adds its kernel contributions at the
+        sites of its support, so a susceptible site with no infected site in
+        reach has rate exactly 0. The mean-field rate is a closed form.
+        """
+        rates = np.zeros(self.grid.n_sites)
+        sus = self.eta == SUSCEPTIBLE
         if self.uniform_path:
-            rates = np.zeros(self.grid.n_sites)
-            rates[self.eta == SUSCEPTIBLE] = self._unit_rate * self.n_inf
+            rates[sus] = self._unit_rate * self.n_inf
             return rates
-        return self.site_rate.copy()
+        shape = self.grid.shape
+        coords = np.stack(np.unravel_index(self._inf_sites[: self.n_inf], shape))
+        for z, contrib in zip(self._offsets, self._contrib):
+            # one offset maps distinct sources to distinct targets
+            targets = np.ravel_multi_index(coords + z[:, None], shape, mode="wrap")
+            rates[targets] += contrib
+        rates[~sus] = 0.0
+        return rates
 
     def fresh_site_rates(self) -> np.ndarray:
         """From-scratch recomputation straight from the definition."""
@@ -182,25 +198,13 @@ class EpidemicState:
         pressure = self.beta * convolve(self.kernel, infected).ravel()
         return np.where(self.eta == SUSCEPTIBLE, pressure, 0.0)
 
-    def rebuild_rates(self) -> None:
-        if not self.uniform_path:
-            self.site_rate = self.fresh_site_rates()
-            self._events_since_rebuild = 0
+    def audit_rates(self) -> float:
+        """Max abs difference between ``site_rates`` and ``fresh_site_rates``.
 
-    def audit_rates(self, rebuild_above: float = DRIFT_REBUILD_TOL) -> float:
-        """Max abs drift between cache and definition; rebuilds past the bar.
-
-        The mean-field path has no drifting cache, so its audit is 0 by
-        construction.
+        The first reads the infected registry, the second ``eta``, so this
+        checks the registry the sampler draws sources from against the state.
         """
-        if self.uniform_path:
-            return 0.0
-        fresh = self.fresh_site_rates()
-        drift = float(np.abs(self.site_rate - fresh).max())
-        if drift > rebuild_above:
-            self.site_rate = fresh
-            self._events_since_rebuild = 0
-        return drift
+        return float(np.abs(self.site_rates() - self.fresh_site_rates()).max())
 
     def fractions(self) -> tuple[float, float, float]:
         n = self.grid.n_sites
@@ -212,11 +216,6 @@ class EpidemicState:
         self.eta[site] = INFECTED
         if self.uniform_path:
             self._registry_remove(self._sus_sites, self._sus_pos, self.n_sus, site)
-        else:
-            self.site_rate[site] = 0.0
-            nbr = self._neighbors(site)
-            sus = self.eta[nbr] == SUSCEPTIBLE
-            self.site_rate[nbr[sus]] += self._contrib[sus]
         self.n_sus -= 1
         self._registry_add(self._inf_sites, self._inf_pos, self.n_inf, site)
         self.n_inf += 1
@@ -226,13 +225,6 @@ class EpidemicState:
         self._registry_remove(self._inf_sites, self._inf_pos, self.n_inf, site)
         self.n_inf -= 1
         self.n_rem += 1
-        if not self.uniform_path:
-            nbr = self._neighbors(site)
-            sus = self.eta[nbr] == SUSCEPTIBLE
-            idx = nbr[sus]
-            updated = self.site_rate[idx] - self._contrib[sus]
-            # a negative residue can only appear where the true rate is zero
-            self.site_rate[idx] = np.maximum(updated, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +287,13 @@ def total_rate(state: EpidemicState) -> float:
 
 
 def _draw_event(state: EpidemicState):
-    """Waiting time and event for the current state, advancing the rng.
+    """Waiting time and next committed event, advancing the rng.
 
-    Returns (dt, kind, site); dt is infinite at absorption.
+    Returns (dt, kind, site); on the thinning path dt includes the waits of
+    the rejected attempts before the event.
+
+    Raises:
+        AbsorbedError: no infected site is left.
     """
     if state.n_inf == 0:
         raise AbsorbedError("no infected sites left")
@@ -311,21 +307,25 @@ def _draw_event(state: EpidemicState):
             return dt, "recovery", site
         site = int(state._sus_sites[rng.integers(state.n_sus)])
         return dt, "infection", site
-    prefix = np.cumsum(state.site_rate)
-    rate_inf = float(prefix[-1])
-    total = rate_inf + state.n_inf
-    dt = rng.standard_exponential() / total
-    if rng.random() * total < state.n_inf:
-        site = int(state._inf_sites[rng.integers(state.n_inf)])
-        return dt, "recovery", site
-    target = rng.random() * rate_inf
-    site = int(np.searchsorted(prefix, target, side="right"))
-    # target < rate_inf, so the index is in range except when rounding pushes
-    # it onto the flat tail of the prefix; walk back to a positive-rate site
-    site = min(site, state.grid.n_sites - 1)
-    while site > 0 and state.site_rate[site] <= 0.0:
-        site -= 1
-    return dt, "infection", site
+    # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
+    # rejected attempt leaves the state as it was and only adds its wait
+    u = state._uniform
+    per_site = 1.0 + state._attempt_rate
+    n_inf = state.n_inf
+    inf_sites, eta, L = state._inf_sites, state.eta, state.grid.L
+    cum = state._cum_weights
+    wait = 0.0
+    while True:
+        wait -= math.log(1.0 - u())
+        source = int(inf_sites[int(u() * n_inf)])
+        if u() * per_site < 1.0:
+            return wait / (n_inf * per_site), "recovery", source
+        target = 0
+        for stride, step in state._shifts[bisect_right(cum, u() * cum[-1])]:
+            target += ((source // stride + step) % L) * stride
+        if eta[target] == SUSCEPTIBLE:
+            return wait / (n_inf * per_site), "infection", target
+        state.attempts += 1
 
 
 def _commit(state: EpidemicState, dt: float, kind: str, site: int) -> EventRecord:
@@ -335,10 +335,7 @@ def _commit(state: EpidemicState, dt: float, kind: str, site: int) -> EventRecor
     else:
         state._apply_recovery(site)
     state.events += 1
-    if not state.uniform_path:
-        state._events_since_rebuild += 1
-        if state._events_since_rebuild >= REBUILD_INTERVAL:
-            state.rebuild_rates()
+    state.attempts += 1
     return EventRecord(state.time, kind, site)
 
 

@@ -168,6 +168,22 @@ def test_hydro_sweep_and_manifest_rerun(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_hydro_sweep_and_simulate_in_two_dimensions(tmp_path):
+    items = dict(d=2, L=8, kernel="tophat:0.3", beta=2.0, rho0=0.9,
+                 rho1="bump:0.1,0.3", replicas=2, seed=3, t_end=1, samples=3)
+    config = _write_config(tmp_path, "hyd2.txt", dt=0.1, **items)
+    assert main(["hydro-sweep", "--config", config,
+                 "--out", str(tmp_path / "h")]) == 0
+    lines = (tmp_path / "h" / "hydro_convergence.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2
+    config = _write_config(tmp_path, "sim2.txt", **items)
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "s")]) == 0
+    for replica in range(2):
+        lines = (tmp_path / "s" / f"trajectory_r{replica}.csv").read_text()
+        assert len(lines.splitlines()) == 1 + 3
+
+
 def test_critical_sweep_and_manifest_rerun(tmp_path):
     config = _write_config(tmp_path, "crit.txt", d=1, L="50, 100",
                            beta="0.5, 2", alpha=0.25, replicas=4, seed=9)

@@ -162,6 +162,18 @@ def test_run_hydro_sweep_small_shapes_and_determinism():
     assert run_hydro_sweep(config).rows == result.rows
 
 
+def test_run_hydro_sweep_two_dimensions():
+    # profiles keep the grid's shape on their way to init_random in d >= 2
+    config = ExperimentConfig(d=2, L_values=(8, 12), kernel="tophat:0.3",
+                              rho0="0.8", rho1="bump:0.2,0.3", replicas=2,
+                              seed=4, t_end=1.0, samples=3, dt=0.1)
+    result = run_hydro_sweep(config)
+    assert [row[:3] for row in result.rows] == [
+        (L, 1 / L, replica) for L in (8, 12) for replica in range(2)]
+    assert all(0.0 <= err < 1.0 for row in result.rows for err in row[3:])
+    assert run_hydro_sweep(config).rows == result.rows
+
+
 def test_hydro_without_infection_is_pure_initial_noise():
     # rho1 = 0: nothing ever happens, the infected-component error vanishes
     # and the susceptible error is the (time-constant) sampling noise
@@ -245,6 +257,19 @@ def test_run_simulation_exact_init_and_determinism():
     # wall_ms varies run to run; everything else is bit-stable
     assert [f[:4] for f in out.finals] == [f[:4] for f in again.finals]
     assert out.trajectories[0][0].x == 190 / 200
+
+
+def test_run_simulation_random_init_two_dimensions():
+    config = ExperimentConfig(d=2, L_values=(8,), kernel="tophat:0.3",
+                              rho0="0.8", rho1="bump:0.2,0.3", replicas=2,
+                              seed=6, t_end=1.0, samples=3)
+    out = run_simulation(config)
+    assert all(len(t) == 3 for t in out.trajectories)
+    for samples, (_, _, x_inf, events, _) in zip(out.trajectories, out.finals):
+        assert samples[-1].x >= x_inf
+        assert events >= samples[-1].events
+    again = run_simulation(config)
+    assert [f[:4] for f in again.finals] == [f[:4] for f in out.finals]
 
 
 def test_run_simulation_bad_init():

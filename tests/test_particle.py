@@ -69,28 +69,71 @@ def test_rate_cache_audit_after_long_run(d, L, spec, n_events):
     for _ in range(n_events):
         gillespie_step(state)
     assert state.audit_rates() <= 1e-8
-    # cached infection total tracks the cache's own sum
-    assert total_rate(state) == state.n_inf + state.site_rate.sum()
+    # the infection channel's total is the sum of the on-demand site rates
+    assert total_rate(state) == state.n_inf + state.site_rates().sum()
 
 
-def test_cache_rebuild_matches_incremental():
-    kernel = build_kernel(TorusGrid(1, 500), TopHat(0.1))
-    state = init_random(kernel, 2.0, 0.8, 0.1, 5)
-    for _ in range(400):
-        gillespie_step(state)
-    cached = state.site_rate.copy()
-    state.rebuild_rates()
-    np.testing.assert_allclose(state.site_rate, cached, rtol=0, atol=1e-9)
+def _unreached(kernel, eta):
+    """Mask of sites with no infected site inside the kernel support."""
+    infected = (eta == INFECTED).reshape(kernel.grid.shape).astype(np.int64)
+    axes = tuple(range(kernel.grid.d))
+    reach = sum(np.roll(infected, tuple(z), axis=axes) for z in kernel.offsets)
+    return reach.ravel() == 0
 
 
 def test_site_rates_zero_off_susceptibles():
-    kernel = build_kernel(TorusGrid(1, 300), TopHat(0.08))
-    state = init_random(kernel, 1.2, 0.7, 0.2, 9)
-    for _ in range(200):
-        gillespie_step(state)
-    rates = state.site_rates()
-    assert (rates[state.eta != SUSCEPTIBLE] == 0.0).all()
-    assert rates.min() >= 0.0
+    # the d = 2 bump's support exceeds DIRECT_SUPPORT_MAX, so the reference
+    # convolution takes the FFT path, whose round-off is not exactly 0
+    for d, L, spec, rho0, rho1, seed, n_events in (
+            (1, 300, TopHat(0.08), 0.7, 0.2, 9, 200),
+            (2, 40, WrappedBump(0.15), 0.7, 0.02, 1, 20)):
+        kernel = build_kernel(TorusGrid(d, L), spec)
+        state = init_random(kernel, 1.2, rho0, rho1, seed)
+        for _ in range(n_events):
+            gillespie_step(state)
+        rates = state.site_rates()
+        assert (rates[state.eta != SUSCEPTIBLE] == 0.0).all()
+        assert rates.min() >= 0.0
+        unreached = _unreached(kernel, state.eta) & (state.eta == SUSCEPTIBLE)
+        assert unreached.any()
+        assert (rates[unreached] == 0.0).all()
+        assert (rates[~unreached & (state.eta == SUSCEPTIBLE)] > 0.0).all()
+
+
+def test_first_event_law_matches_site_rates():
+    # thinning must realize the jump chain: over independent seeds, the
+    # first committed event is (kind, site) with probability rate / total,
+    # after an Exp(total) wait; each frequency within 5 sigma
+    kernel = build_kernel(TorusGrid(1, 12), WrappedBump(0.3))
+    eta = np.array([0, 0, 1, 0, -1, 0, 0, 0, 1, 1, 0, -1], dtype=np.int8)
+    probe = EpidemicState(kernel, 1.7, eta.copy(), make_rng(0))
+    total = total_rate(probe)
+    expected = {("infection", x): r / total
+                for x, r in enumerate(probe.site_rates())}
+    expected.update({("recovery", x): float(eta[x] == INFECTED) / total
+                     for x in range(len(eta))})
+    assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
+    n = 20_000
+    counts = dict.fromkeys(expected, 0)
+    waits = np.empty(n)
+    for seed in range(n):
+        record = gillespie_step(EpidemicState(kernel, 1.7, eta.copy(),
+                                              make_rng(seed)))
+        counts[record.kind, record.site] += 1
+        waits[seed] = record.time
+    for outcome, p in expected.items():
+        assert abs(counts[outcome] / n - p) <= 5 * np.sqrt(p * (1 - p) / n), outcome
+    assert abs(waits.mean() - 1 / total) <= 5 / (total * np.sqrt(n))
+
+
+def test_attempts_count_rejections_on_local_kernels_only():
+    kernel = build_kernel(TorusGrid(1, 400), TopHat(0.05))
+    state = init_random(kernel, 2.0, 0.6, 0.2, 3)
+    run_to_absorption(state)
+    assert state.attempts > state.events
+    state = _mean_field_state(seed=4)
+    run_to_absorption(state)
+    assert state.attempts == state.events > 0
 
 
 # ---------------------------------------------------------------------------
