@@ -29,9 +29,12 @@ import numpy as np
 
 from .errors import EmptySupportError, GridMismatchError, InvalidSpecError
 
-#: Largest support size routed through direct summation; larger supports use
-#: the spectral path.
+#: ``convolve`` sums directly only when ``support_size <= DIRECT_SUPPORT_MAX``
+#: and ``support_size * n_sites <= DIRECT_COST_MAX``: the cost bound is the
+#: measured crossover with the spectral path (ROADMAP.md), and it caps the
+#: int32 gather table at 80 KB.
 DIRECT_SUPPORT_MAX = 64
+DIRECT_COST_MAX = 20_000
 
 NORMALIZATION_TOL = 1e-12
 
@@ -279,10 +282,11 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
     Args:
         kernel: a built kernel.
         field: array of shape ``kernel.grid.shape``.
-        method: ``auto`` picks direct summation for supports up to
-            ``DIRECT_SUPPORT_MAX`` and the spectral path otherwise (with an
-            exact shortcut for the mean-field kernel, whose convolution is the
-            spatial average); ``direct`` and ``fft`` force a path.
+        method: ``auto`` takes an exact shortcut for the mean-field kernel
+            (the spatial average), direct summation when ``support_size <=
+            DIRECT_SUPPORT_MAX`` and ``support_size * n_sites <=
+            DIRECT_COST_MAX``, and the spectral path otherwise; ``direct``
+            (over a support x sites gather table) and ``fft`` force a path.
 
     Returns:
         Array of the same shape as ``field``.
@@ -297,17 +301,13 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
         if kernel.uniform:
             # gamma^d * sum(f) is exactly the mean since gamma^d = 1/n_sites.
             return np.full(grid.shape, field.mean())
-        method = "direct" if kernel.support_size <= DIRECT_SUPPORT_MAX else "fft"
+        cheap = kernel.support_size * grid.n_sites <= DIRECT_COST_MAX
+        method = "direct" if cheap and kernel.support_size <= DIRECT_SUPPORT_MAX else "fft"
 
     if method == "direct":
-        if kernel.support_size <= DIRECT_SUPPORT_MAX:
-            gathered = field.ravel()[kernel._gather()]
-            out = (kernel.weights @ gathered) * grid.cell_volume()
-            return out.reshape(grid.shape)
-        out = np.zeros(grid.shape)
-        for z, w in zip(kernel.offsets, kernel.weights):
-            out += w * np.roll(field, shift=tuple(z), axis=tuple(range(grid.d)))
-        return out * grid.cell_volume()
+        gathered = field.ravel()[kernel._gather()]
+        out = (kernel.weights @ gathered) * grid.cell_volume()
+        return out.reshape(grid.shape)
 
     if method == "fft":
         axes = tuple(range(grid.d))

@@ -172,25 +172,25 @@ class EpidemicState:
         return float(self.site_rates().sum())
 
     def site_rates(self) -> np.ndarray:
-        """Per-site infection rates from the infected registry.
+        """Per-site infection rates from the infected registry, in one pass.
 
-        Each registered infected site adds its kernel contributions at the
-        sites of its support, so a susceptible site with no infected site in
-        reach has rate exactly 0. The mean-field rate is a closed form.
+        One ``np.bincount`` scatters every registered infected site's kernel
+        contributions onto its support, so a susceptible site with no
+        infected site in reach has rate exactly 0. The mean-field rate is a
+        closed form.
         """
-        rates = np.zeros(self.grid.n_sites)
         sus = self.eta == SUSCEPTIBLE
         if self.uniform_path:
-            rates[sus] = self._unit_rate * self.n_inf
-            return rates
+            return np.where(sus, self._unit_rate * self.n_inf, 0.0)
         shape = self.grid.shape
         coords = np.stack(np.unravel_index(self._inf_sites[: self.n_inf], shape))
-        for z, contrib in zip(self._offsets, self._contrib):
-            # one offset maps distinct sources to distinct targets
-            targets = np.ravel_multi_index(coords + z[:, None], shape, mode="wrap")
-            rates[targets] += contrib
-        rates[~sus] = 0.0
-        return rates
+        # offset-major targets, so each site adds its contributions in offset order
+        targets = np.ravel_multi_index(
+            coords[:, None, :] + self._offsets.T[:, :, None], shape, mode="wrap")
+        rates = np.bincount(targets.ravel(), weights=np.repeat(self._contrib, self.n_inf),
+                            minlength=self.grid.n_sites)
+        # bincount returns integer zeros when no site is infected
+        return np.where(sus, rates, 0.0)
 
     def fresh_site_rates(self) -> np.ndarray:
         """From-scratch recomputation straight from the definition."""

@@ -19,6 +19,7 @@ from epilattice.errors import (
     GridMismatchError,
     InvalidSpecError,
 )
+from epilattice.grid import DIRECT_COST_MAX, DIRECT_SUPPORT_MAX
 
 
 def conv_bruteforce(kernel, field):
@@ -156,6 +157,8 @@ def test_convolve_matches_bruteforce():
         (TorusGrid(1, 16), WrappedBump(0.4)),
         (TorusGrid(2, 7), TopHat(0.35)),
         (TorusGrid(2, 8), MeanField()),
+        (TorusGrid(3, 6), TopHat(0.2)),
+        (TorusGrid(3, 8), TopHat(0.3)),
     ]
     for g, spec in cases:
         k = build_kernel(g, spec)
@@ -214,15 +217,40 @@ def test_convolve_preserves_bounds():
 
 def test_direct_and_fft_paths_agree():
     rng = np.random.default_rng(17)
-    # small support (gather path) and large support (roll path) both
+    # forced direct always gathers, also for supports beyond
+    # DIRECT_SUPPORT_MAX (the bump and the d = 2 top-hat)
     for g, spec in [(TorusGrid(1, 200), TopHat(0.05)),
                     (TorusGrid(1, 300), WrappedBump(0.45)),
-                    (TorusGrid(2, 24), TopHat(0.3))]:
+                    (TorusGrid(2, 24), TopHat(0.3)),
+                    (TorusGrid(3, 16), TopHat(0.15))]:
         k = build_kernel(g, spec)
         f = rng.random(g.shape)
         a = convolve(k, f, "direct")
         b = convolve(k, f, "fft")
         assert np.abs(a - b).max() <= 1e-10
+
+
+@pytest.mark.parametrize("g, spec, direct", [
+    (TorusGrid(1, 40), TopHat(0.1), True),          # 9 offsets x 40 sites
+    (TorusGrid(2, 14), TopHat(0.3), True),          # 57 x 196, a criterion-1 grid
+    (TorusGrid(1, 400), TopHat(0.05), True),        # 41 x 400 = 16,400
+    (TorusGrid(1, 500), TopHat(0.04), False),       # 41 x 500 = 20,500
+    (TorusGrid(2, 12), WrappedBump(0.45), False),   # 97 x 144, support > 64
+    (TorusGrid(2, 100), TopHat(0.0425), False),     # 61 x 10^4
+])
+def test_auto_path_follows_cost_rule(g, spec, direct):
+    k = build_kernel(g, spec)
+    cost = k.support_size * g.n_sites
+    assert direct == (k.support_size <= DIRECT_SUPPORT_MAX
+                      and cost <= DIRECT_COST_MAX)
+    f = np.random.default_rng(23).random(g.shape)
+    auto = convolve(k, f)
+    # the gather table exists only once the direct path has run
+    assert (k._gather_cache is not None) == direct
+    forced = {method: convolve(k, f, method) for method in ("direct", "fft")}
+    assert np.array_equal(auto, forced["direct" if direct else "fft"])
+    for out in forced.values():
+        assert np.abs(out - auto).max() <= 1e-12
 
 
 def test_convolve_grid_mismatch():

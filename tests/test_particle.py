@@ -62,6 +62,7 @@ def test_site_rates_match_definition_mean_field():
     (1, 8000, TopHat(0.05), 5000),
     (1, 8000, WrappedBump(0.08), 5000),
     (2, 64, TopHat(0.1), 3000),
+    (2, 100, TopHat(0.0425), 3000),
 ])
 def test_rate_cache_audit_after_long_run(d, L, spec, n_events):
     kernel = build_kernel(TorusGrid(d, L), spec)
@@ -81,23 +82,44 @@ def _unreached(kernel, eta):
     return reach.ravel() == 0
 
 
+def _per_offset_rates(state):
+    """Reference: per-site rates added up one kernel offset at a time."""
+    grid, kernel = state.grid, state.kernel
+    contrib = state.beta * grid.cell_volume() * kernel.weights
+    coords = np.stack(np.unravel_index(np.flatnonzero(state.eta == INFECTED),
+                                       grid.shape))
+    rates = np.zeros(grid.n_sites)
+    for z, c in zip(kernel.offsets, contrib):
+        # one offset maps distinct sources to distinct targets
+        rates[np.ravel_multi_index(coords + z[:, None], grid.shape, mode="wrap")] += c
+    rates[state.eta != SUSCEPTIBLE] = 0.0
+    return rates
+
+
 def test_site_rates_zero_off_susceptibles():
-    # the d = 2 bump's support exceeds DIRECT_SUPPORT_MAX, so the reference
-    # convolution takes the FFT path, whose round-off is not exactly 0
+    # zeros must be exact where no infected site is in reach; the
+    # convolution reference cannot promise that on the d = 2 and d = 3
+    # grids, where convolve takes the FFT path, whose round-off is not 0
     for d, L, spec, rho0, rho1, seed, n_events in (
             (1, 300, TopHat(0.08), 0.7, 0.2, 9, 200),
-            (2, 40, WrappedBump(0.15), 0.7, 0.02, 1, 20)):
+            (2, 40, WrappedBump(0.15), 0.7, 0.02, 1, 20),
+            (3, 16, TopHat(0.15), 0.7, 0.005, 3, 20)):
         kernel = build_kernel(TorusGrid(d, L), spec)
         state = init_random(kernel, 1.2, rho0, rho1, seed)
         for _ in range(n_events):
             gillespie_step(state)
         rates = state.site_rates()
+        assert np.array_equal(rates, _per_offset_rates(state))
         assert (rates[state.eta != SUSCEPTIBLE] == 0.0).all()
         assert rates.min() >= 0.0
         unreached = _unreached(kernel, state.eta) & (state.eta == SUSCEPTIBLE)
         assert unreached.any()
         assert (rates[unreached] == 0.0).all()
         assert (rates[~unreached & (state.eta == SUSCEPTIBLE)] > 0.0).all()
+        # with no infected site left, every rate is a float 0
+        empty = EpidemicState(kernel, 1.2, np.zeros(kernel.grid.n_sites), make_rng(0))
+        assert empty.site_rates().dtype == np.float64
+        assert not empty.site_rates().any()
 
 
 def test_first_event_law_matches_site_rates():
