@@ -98,7 +98,10 @@ def _cmd_simulate(args) -> int:
               ["replica", "seed", "x_inf", "events", "wall_ms"], output.finals)
     for replica, seed, x_inf, events, _ in output.finals:
         print(f"replica {replica}: x_inf = {x_inf:.6f} after {events} events")
-    _finish(RunManifest("simulate", config), out, started)
+    manifest = RunManifest("simulate", config)
+    manifest.extra["realized.events"] = str(sum(final[3] for final in output.finals))
+    manifest.extra["realized.attempts"] = str(sum(output.attempts))
+    _finish(manifest, out, started)
     return 0
 
 

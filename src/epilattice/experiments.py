@@ -352,6 +352,7 @@ def write_critical_outputs(result: CriticalResult, manifest: RunManifest,
 class SimulationOutput:
     trajectories: list[list]   # per replica: list of TrajectorySample
     finals: list[tuple]        # (replica, seed, x_inf, events, wall_ms)
+    attempts: list[int]        # per replica: events plus rejected proposals
 
 
 def run_simulation(config: ExperimentConfig) -> SimulationOutput:
@@ -361,6 +362,7 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
     sample_times = np.linspace(0.0, config.t_end, config.samples)
     trajectories = []
     finals = []
+    attempts = []
     for replica in range(config.replicas):
         seed = derive_seed(config.seed, config.L, replica)
         rng = make_rng(seed)
@@ -386,4 +388,5 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
         x_inf = state.n_sus / grid.n_sites
         wall_ms = (time.perf_counter() - start) * 1e3
         finals.append((replica, seed, x_inf, state.events, wall_ms))
-    return SimulationOutput(trajectories, finals)
+        attempts.append(state.attempts)
+    return SimulationOutput(trajectories, finals, attempts)

@@ -20,11 +20,15 @@ continuous-time Markov process exactly. Two samplers realize it:
   infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
   the site is drawn uniformly from a susceptible registry.
 
-Per-site rates are computed on demand from the infected registry
-(``site_rates``) and audited against the convolution definition
-(``audit_rates``). Random numbers are consumed in a fixed per-event order,
-on the thinning path from blocks of ``UNIFORM_BLOCK`` uniforms, so a run is
-bit-reproducible from (seed, config).
+The registries (infected sites; on the mean-field path also susceptible
+sites) are plain lists. A draw picks a registry slot, and the commit
+removes that entry by moving the last one into its place and popping, so
+add and remove are O(1) and no site-to-slot map is kept. Per-site rates
+are computed on demand from the infected registry (``site_rates``) and
+audited against the convolution definition (``audit_rates``). Random
+numbers are consumed in a fixed per-event order, on the thinning path from
+blocks of ``UNIFORM_BLOCK`` uniforms, so a run is bit-reproducible from
+(seed, config).
 """
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ class EpidemicState:
     def __init__(self, kernel: DiscreteKernel, beta: float, eta: np.ndarray,
                  rng: np.random.Generator):
         grid = kernel.grid
-        eta = np.asarray(eta, dtype=np.int8).ravel()
+        eta = np.array(eta, dtype=np.int8).ravel()  # a copy: runs mutate it
         if eta.size != grid.n_sites:
             raise GridMismatchError(
                 f"eta has {eta.size} sites, grid has {grid.n_sites}")
@@ -116,6 +120,9 @@ class EpidemicState:
         self.grid = grid
         self.beta = float(beta)
         self.eta = eta
+        # the event loop reads and writes eta through this view, which takes
+        # and gives Python ints instead of numpy scalars
+        self._eta = memoryview(eta)
         self.rng = rng
         self.time = 0.0
         self.events = 0
@@ -123,23 +130,19 @@ class EpidemicState:
         self.attempts = 0
         self.uniform_path = kernel.uniform
 
-        n = grid.n_sites
         self.n_sus = int((eta == SUSCEPTIBLE).sum())
         self.n_inf = int((eta == INFECTED).sum())
-        self.n_rem = n - self.n_sus - self.n_inf
+        self.n_rem = grid.n_sites - self.n_sus - self.n_inf
 
-        # registries with O(1) insert/remove (swap with last)
-        self._inf_sites = np.flatnonzero(eta == INFECTED).astype(np.int64)
-        self._inf_sites.resize(n, refcheck=False)
-        self._inf_pos = np.full(n, -1, dtype=np.int64)
-        self._inf_pos[self._inf_sites[: self.n_inf]] = np.arange(self.n_inf)
-
+        # registries: lists of sites in one state, addressed by the slot the
+        # sampler draws; an entry leaves by swapping with the last and popping
+        self._inf_sites = np.flatnonzero(eta == INFECTED).tolist()
         if self.uniform_path:
-            self._sus_sites = np.flatnonzero(eta == SUSCEPTIBLE).astype(np.int64)
-            self._sus_sites.resize(n, refcheck=False)
-            self._sus_pos = np.full(n, -1, dtype=np.int64)
-            self._sus_pos[self._sus_sites[: self.n_sus]] = np.arange(self.n_sus)
+            self._sus_sites = np.flatnonzero(eta == SUSCEPTIBLE).tolist()
             self._unit_rate = self.beta * grid.cell_volume()
+            self._exponential = rng.standard_exponential
+            self._random = rng.random
+            self._integers = rng.integers
         else:
             self._offsets = kernel.offsets.astype(np.int64)
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
@@ -149,19 +152,6 @@ class EpidemicState:
             strides = [grid.L**k for k in range(grid.d - 1, -1, -1)]
             self._shifts = [tuple(zip(strides, z)) for z in self._offsets.tolist()]
             self._uniform = _uniform_stream(rng).__next__
-
-    # -- registry plumbing ---------------------------------------------------
-
-    def _registry_add(self, sites, pos, count, site):
-        sites[count] = site
-        pos[site] = count
-
-    def _registry_remove(self, sites, pos, count, site):
-        k = pos[site]
-        last = sites[count - 1]
-        sites[k] = last
-        pos[last] = k
-        pos[site] = -1
 
     # -- rates ---------------------------------------------------------------
 
@@ -183,7 +173,8 @@ class EpidemicState:
         if self.uniform_path:
             return np.where(sus, self._unit_rate * self.n_inf, 0.0)
         shape = self.grid.shape
-        coords = np.stack(np.unravel_index(self._inf_sites[: self.n_inf], shape))
+        coords = np.stack(np.unravel_index(
+            np.array(self._inf_sites, dtype=np.int64), shape))
         # offset-major targets, so each site adds its contributions in offset order
         targets = np.ravel_multi_index(
             coords[:, None, :] + self._offsets.T[:, :, None], shape, mode="wrap")
@@ -209,22 +200,6 @@ class EpidemicState:
     def fractions(self) -> tuple[float, float, float]:
         n = self.grid.n_sites
         return self.n_sus / n, self.n_inf / n, self.n_rem / n
-
-    # -- state flips ---------------------------------------------------------
-
-    def _apply_infection(self, site: int) -> None:
-        self.eta[site] = INFECTED
-        if self.uniform_path:
-            self._registry_remove(self._sus_sites, self._sus_pos, self.n_sus, site)
-        self.n_sus -= 1
-        self._registry_add(self._inf_sites, self._inf_pos, self.n_inf, site)
-        self.n_inf += 1
-
-    def _apply_recovery(self, site: int) -> None:
-        self.eta[site] = REMOVED
-        self._registry_remove(self._inf_sites, self._inf_pos, self.n_inf, site)
-        self.n_inf -= 1
-        self.n_rem += 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,54 +264,69 @@ def total_rate(state: EpidemicState) -> float:
 def _draw_event(state: EpidemicState):
     """Waiting time and next committed event, advancing the rng.
 
-    Returns (dt, kind, site); on the thinning path dt includes the waits of
-    the rejected attempts before the event.
+    Returns (dt, kind, site, slot): ``slot`` is the site's index in the
+    registry it leaves (infected for a recovery, susceptible for a mean-field
+    infection), or None for a thinning infection, whose target has no
+    registry. On the thinning path dt includes the waits of the rejected
+    attempts before the event.
 
     Raises:
         AbsorbedError: no infected site is left.
     """
-    if state.n_inf == 0:
+    n_inf = state.n_inf
+    if n_inf == 0:
         raise AbsorbedError("no infected sites left")
-    rng = state.rng
     if state.uniform_path:
-        rate_inf = state._unit_rate * state.n_sus * state.n_inf
-        total = rate_inf + state.n_inf
-        dt = rng.standard_exponential() / total
-        if rng.random() * total < state.n_inf:
-            site = int(state._inf_sites[rng.integers(state.n_inf)])
-            return dt, "recovery", site
-        site = int(state._sus_sites[rng.integers(state.n_sus)])
-        return dt, "infection", site
+        total = state._unit_rate * state.n_sus * n_inf + n_inf
+        dt = state._exponential() / total
+        if state._random() * total < n_inf:
+            slot = state._integers(n_inf)
+            return dt, "recovery", state._inf_sites[slot], slot
+        slot = state._integers(state.n_sus)
+        return dt, "infection", state._sus_sites[slot], slot
     # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
     # rejected attempt leaves the state as it was and only adds its wait
     u = state._uniform
     per_site = 1.0 + state._attempt_rate
-    n_inf = state.n_inf
-    inf_sites, eta, L = state._inf_sites, state.eta, state.grid.L
+    inf_sites, eta, L = state._inf_sites, state._eta, state.grid.L
     cum = state._cum_weights
     wait = 0.0
     while True:
         wait -= math.log(1.0 - u())
-        source = int(inf_sites[int(u() * n_inf)])
+        slot = int(u() * n_inf)
+        source = inf_sites[slot]
         if u() * per_site < 1.0:
-            return wait / (n_inf * per_site), "recovery", source
+            return wait / (n_inf * per_site), "recovery", source, slot
         target = 0
         for stride, step in state._shifts[bisect_right(cum, u() * cum[-1])]:
             target += ((source // stride + step) % L) * stride
         if eta[target] == SUSCEPTIBLE:
-            return wait / (n_inf * per_site), "infection", target
+            return wait / (n_inf * per_site), "infection", target, None
         state.attempts += 1
 
 
-def _commit(state: EpidemicState, dt: float, kind: str, site: int) -> EventRecord:
+def _commit(state: EpidemicState, dt: float, kind: str, site: int, slot) -> None:
+    """Apply a drawn event; the site leaves its registry slot, if it has one,
+    by swap-with-last, and a newly infected site is appended."""
     state.time += dt
     if kind == "infection":
-        state._apply_infection(site)
+        state._eta[site] = INFECTED
+        if slot is not None:
+            sus = state._sus_sites
+            sus[slot] = sus[-1]
+            sus.pop()
+        state.n_sus -= 1
+        state._inf_sites.append(site)
+        state.n_inf += 1
     else:
-        state._apply_recovery(site)
+        state._eta[site] = REMOVED
+        inf = state._inf_sites
+        inf[slot] = inf[-1]
+        inf.pop()
+        state.n_inf -= 1
+        state.n_rem += 1
     state.events += 1
     state.attempts += 1
-    return EventRecord(state.time, kind, site)
 
 
 def gillespie_step(state: EpidemicState) -> EventRecord:
@@ -345,8 +335,9 @@ def gillespie_step(state: EpidemicState) -> EventRecord:
     Raises:
         AbsorbedError: the epidemic is over (no infected sites).
     """
-    dt, kind, site = _draw_event(state)
-    return _commit(state, dt, kind, site)
+    dt, kind, site, slot = _draw_event(state)
+    _commit(state, dt, kind, site, slot)
+    return EventRecord(state.time, kind, site)
 
 
 def _snapshot(state: EpidemicState, t: float,
@@ -383,7 +374,7 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
     k = 0
     while k < len(times):
         try:
-            dt, kind, site = _draw_event(state)
+            dt, kind, site, slot = _draw_event(state)
         except AbsorbedError:
             while k < len(times):
                 out.append(_snapshot(state, times[k], test_functions))
@@ -392,7 +383,7 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
         while k < len(times) and state.time + dt >= times[k]:
             out.append(_snapshot(state, times[k], test_functions))
             k += 1
-        _commit(state, dt, kind, site)
+        _commit(state, dt, kind, site, slot)
     return out
 
 
@@ -403,5 +394,5 @@ def run_to_absorption(state: EpidemicState) -> FinalState:
     infection recovers once, so the event count never exceeds 2 * n_sites.
     """
     while state.n_inf > 0:
-        gillespie_step(state)
+        _commit(state, *_draw_event(state))
     return FinalState(state.n_sus / state.grid.n_sites, state.events, state.time)

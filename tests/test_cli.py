@@ -30,8 +30,20 @@ def test_simulate_outputs(tmp_path, capsys):
     finals = (out / "final.csv").read_text().splitlines()
     assert finals[0] == "replica,seed,x_inf,events,wall_ms"
     assert len(finals) == 3
-    assert (out / "manifest.txt").exists()
+    realized = _realized(out)
+    events = sum(int(line.split(",")[3]) for line in finals[1:])
+    # the mean-field sampler rejects no proposal
+    assert realized == {"events": events, "attempts": events}
     assert "x_inf" in capsys.readouterr().out
+
+
+def _realized(out):
+    """The ``realized.*`` integer entries of a run's manifest."""
+    prefix = "realized."
+    items = (line.split(" = ", 1)
+             for line in (out / "manifest.txt").read_text().splitlines())
+    return {key[len(prefix):]: int(value) for key, value in items
+            if key.startswith(prefix)}
 
 
 def test_simulate_single_replica_filename(tmp_path):
@@ -182,6 +194,11 @@ def test_hydro_sweep_and_simulate_in_two_dimensions(tmp_path):
     for replica in range(2):
         lines = (tmp_path / "s" / f"trajectory_r{replica}.csv").read_text()
         assert len(lines.splitlines()) == 1 + 3
+    finals = (tmp_path / "s" / "final.csv").read_text().splitlines()[1:]
+    realized = _realized(tmp_path / "s")
+    assert realized["events"] == sum(int(line.split(",")[3]) for line in finals)
+    # thinning on a local kernel: some proposals hit non-susceptible sites
+    assert realized["attempts"] > realized["events"] > 0
 
 
 def test_critical_sweep_and_manifest_rerun(tmp_path):

@@ -1,4 +1,6 @@
 """Event-driven simulator: exact rates, registries, reproducibility."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,87 @@ def test_determinism_same_seed_bitwise():
     finals = [run_to_absorption(init_random(kernel, 1.6, 0.9, 0.05, 77))
               for _ in range(2)]
     assert finals[0] == finals[1]
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _fingerprint(state):
+    return (state.events, state.attempts, repr(state.time), _sha256(state.eta),
+            _sha256(state.site_rates()))
+
+
+# site_rates() of an absorbed 40 x 40 state: 1600 float zeros
+_NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
+
+
+@pytest.mark.parametrize("spec, init, mid, end", [
+    (MeanField(),
+     lambda k: init_exact_counts(k, 1.5, 1400, 20, 2024),
+     (141, 141, "3.0047424516948733",
+      "3b7e94514d8432e12dcfc2fa7f42331144e95951b0af31343ca3902ddb00a197",
+      "d937e076d47d4a048567128c5d90d1d01e942a5e793a471018248a710180a4bc"),
+     (726, 726, "15.680309460392797",
+      "1efd7dac2d4150ac1f7e118f9d48725fcaf3d076382c65ed02157bb88917cb3c",
+      _NO_RATES)),
+    (TopHat(0.1),
+     lambda k: init_random(k, 1.5, 0.85, 0.03, 2024),
+     (316, 374, "3.005905071287217",
+      "1ec89ad71f21318e2254170b5e1ba30c7994fd1b708340deb6805f8c07ddc433",
+      "ce28fdb8144025ec81be319867b4fad3338eda8834c87da46116163d3504b651"),
+     (707, 916, "22.838148243186115",
+      "fad44a00e3d3ed134576bb5a1c2aa30614ba59ce6efb1b2438d4350652510f5a",
+      _NO_RATES)),
+], ids=["mean-field", "thinning"])
+def test_golden_trajectories(spec, init, mid, end):
+    # pinned values of both samplers on a 40 x 40 torus: any change to the
+    # random stream, the draw order or the registry order moves them
+    state = init(build_kernel(TorusGrid(2, 40), spec))
+    run_sampled(state, [0.5, 1.5, 3.0])
+    assert _fingerprint(state) == mid
+    run_to_absorption(state)
+    assert _fingerprint(state) == end
+
+
+def _final_state(state):
+    return (state.eta.tobytes(), state.n_sus, state.n_inf, state.n_rem,
+            state.events, state.attempts, state.time)
+
+
+@pytest.mark.parametrize("spec", [MeanField(), TopHat(0.1)], ids=["mean-field", "thinning"])
+def test_run_paths_match_stepping(spec):
+    kernel = build_kernel(TorusGrid(2, 30), spec)
+
+    def fresh():
+        return init_random(kernel, 1.6, 0.85, 0.05, 5)
+
+    stepped = fresh()
+    with pytest.raises(AbsorbedError):
+        while True:
+            gillespie_step(stepped)
+    absorbed = fresh()
+    run_to_absorption(absorbed)
+    assert _final_state(absorbed) == _final_state(stepped)
+
+    sampled = fresh()
+    run_sampled(sampled, [0.5, 2.0])
+    assert 0 < sampled.events < stepped.events
+    stepped = fresh()
+    for _ in range(sampled.events):
+        gillespie_step(stepped)
+    assert _final_state(sampled) == _final_state(stepped)
+
+
+def test_state_does_not_alias_callers_eta():
+    kernel = build_kernel(TorusGrid(1, 200), TopHat(0.05))
+    eta = np.zeros(200, dtype=np.int8)
+    eta[::10] = INFECTED
+    before = eta.copy()
+    state = EpidemicState(kernel, 2.0, eta, make_rng(3))
+    run_to_absorption(state)
+    assert state.events > 0
+    assert np.array_equal(eta, before)
 
 
 def test_different_seeds_differ():
