@@ -278,6 +278,7 @@ class CriticalResult:
     rows: list[tuple]     # (beta, alpha, L, replica, seed, x_inf, target)
     summary: list[tuple]  # (beta, alpha, L, n_infected, median, mean, std, target)
     realized: dict[int, int]  # L -> initial infected count
+    events: int           # committed particle events over all replicas
 
 
 def seeded_infected_count(L: int, d: int, alpha: float) -> int:
@@ -300,6 +301,7 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     rows = []
     summary = []
     realized: dict[int, int] = {}
+    events = 0
     for beta_idx, beta in enumerate(config.betas):
         target = hat_x_infinity(beta).value
         for L in config.L_values:
@@ -317,11 +319,12 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
                 state = init_exact_counts(kernel, beta, n_sus, n_inf, make_rng(seed))
                 final = run_to_absorption(state)
                 finals[replica] = final.x_inf
+                events += final.events
                 rows.append((beta, alpha, L, replica, seed, final.x_inf, target))
             std = float(finals.std(ddof=1)) if config.replicas > 1 else 0.0
             summary.append((beta, alpha, L, n_inf, float(np.median(finals)),
                             float(finals.mean()), std, target))
-    return CriticalResult(rows, summary, realized)
+    return CriticalResult(rows, summary, realized, events)
 
 
 def write_critical_outputs(result: CriticalResult, manifest: RunManifest,
@@ -336,6 +339,7 @@ def write_critical_outputs(result: CriticalResult, manifest: RunManifest,
               ["beta", "alpha", "L", "n_infected", "median_x_inf",
                "mean_x_inf", "std_x_inf", "target"],
               result.summary)
+    manifest.extra["realized.events"] = str(result.events)
     for L, n_inf in sorted(result.realized.items()):
         manifest.extra[f"realized.L{L}.n_infected"] = str(n_inf)
         manifest.extra[f"realized.L{L}.fraction"] = FLOAT_FMT % (n_inf / L ** manifest.config.d)

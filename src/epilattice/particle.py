@@ -26,9 +26,13 @@ removes that entry by moving the last one into its place and popping, so
 add and remove are O(1) and no site-to-slot map is kept. Per-site rates
 are computed on demand from the infected registry (``site_rates``) and
 audited against the convolution definition (``audit_rates``). Random
-numbers are consumed in a fixed per-event order, on the thinning path from
-blocks of ``UNIFORM_BLOCK`` uniforms, so a run is bit-reproducible from
-(seed, config).
+numbers are consumed in a fixed per-event order, so a run is
+bit-reproducible from (seed, config). The state owns its generator: the
+thinning path prefetches blocks of ``UNIFORM_BLOCK`` uniforms, and the
+mean-field path draws registry slots exactly as ``Generator.integers``
+does, but inline from the bit generator's raw words, holding the buffered
+32-bit half-word itself. Nothing else may draw from the generator while a
+state runs on it.
 """
 from __future__ import annotations
 
@@ -142,7 +146,18 @@ class EpidemicState:
             self._unit_rate = self.beta * grid.cell_volume()
             self._exponential = rng.standard_exponential
             self._random = rng.random
-            self._integers = rng.integers
+            # Registry slots are drawn as Generator.integers(n) draws them,
+            # but inline from raw 64-bit words; the state takes over the
+            # generator's buffered 32-bit half-word. Generators without one
+            # (MT19937 has 32-bit raw words) keep calling integers, as do
+            # grids over 2**32 sites, where integers switches to 64-bit draws.
+            bit_state = rng.bit_generator.state
+            if "has_uint32" in bit_state and grid.n_sites <= 2**32:
+                self._raw = rng.bit_generator.random_raw
+                self._half = bit_state["uinteger"] if bit_state["has_uint32"] else None
+            else:
+                self._raw = None
+                self._integers = rng.integers
         else:
             self._offsets = kernel.offsets.astype(np.int64)
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
@@ -280,10 +295,32 @@ def _draw_event(state: EpidemicState):
         total = state._unit_rate * state.n_sus * n_inf + n_inf
         dt = state._exponential() / total
         if state._random() * total < n_inf:
-            slot = state._integers(n_inf)
-            return dt, "recovery", state._inf_sites[slot], slot
-        slot = state._integers(state.n_sus)
-        return dt, "infection", state._sus_sites[slot], slot
+            kind, n, registry = "recovery", n_inf, state._inf_sites
+        else:
+            kind, n, registry = "infection", state.n_sus, state._sus_sites
+        if n == 1:
+            slot = 0  # integers(1) draws nothing
+        elif state._raw is None:
+            slot = state._integers(n)
+        else:
+            # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves, as
+            # integers(n) does it: a raw word gives its low half first and
+            # keeps the high half; the product word * n is rejected when its
+            # low half is under (2**32 - n) % n
+            while True:
+                word = state._half
+                if word is None:
+                    word = state._raw()
+                    state._half = word >> 32
+                    word &= 0xFFFFFFFF
+                else:
+                    state._half = None
+                m = word * n
+                low = m & 0xFFFFFFFF
+                if low >= n or low >= (0x100000000 - n) % n:
+                    break
+            slot = m >> 32
+        return dt, kind, registry[slot], slot
     # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
     # rejected attempt leaves the state as it was and only adds its wait
     u = state._uniform

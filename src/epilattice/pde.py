@@ -106,7 +106,8 @@ def _deriv(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
     return -infection, infection - u1
 
 
-def _check_step(t: float, u0, u1, prev_u0, prev_v) -> None:
+def _check_step(t: float, u0, u1, prev_u0, prev_v) -> np.ndarray:
+    """Check the structural bounds of one step; returns v = u0 + u1."""
     v = u0 + u1
     worst = max(
         float(-u0.min()),
@@ -118,6 +119,7 @@ def _check_step(t: float, u0, u1, prev_u0, prev_v) -> None:
     if worst > STABILITY_TOL:
         raise StabilityViolationError(
             f"structural bound breached by {worst:.3e} at t = {t:.6g}")
+    return v
 
 
 def integrate_pde(kernel: DiscreteKernel, beta: float, init: DensityField,
@@ -168,9 +170,8 @@ def _run_from(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
             u0 = u0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             u1 = u1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             t += h
-            _check_step(t, u0, u1, prev_u0, prev_v)
+            prev_v = _check_step(t, u0, u1, prev_u0, prev_v)
             prev_u0 = u0
-            prev_v = u0 + u1
         t = target
         out0[idx], out1[idx] = u0, u1
         idx += 1

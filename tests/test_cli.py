@@ -209,8 +209,16 @@ def test_critical_sweep_and_manifest_rerun(tmp_path):
     lines = (first / "critical.csv").read_text().splitlines()
     assert lines[0] == "beta,alpha,L,replica,seed,x_inf,target"
     assert len(lines) == 1 + 2 * 2 * 4
-    manifest = (first / "manifest.txt").read_text()
-    assert "realized.L50.n_infected" in manifest
+    entries = dict(line.split(" = ", 1)
+                   for line in (first / "manifest.txt").read_text().splitlines())
+    # no site starts removed and every run is absorbed, so each replica
+    # commits one recovery per seed and two events per new infection
+    expected = 0
+    for row in lines[1:]:
+        L, x_inf = int(row.split(",")[2]), float(row.split(",")[5])
+        n_inf = int(entries[f"realized.L{L}.n_infected"])
+        expected += n_inf + 2 * (L - n_inf - round(x_inf * L))
+    assert int(entries["realized.events"]) == expected > 0
     assert main(["critical-sweep", "--config", str(first / "manifest.txt"),
                  "--out", str(second)]) == 0
     for name in ("critical.csv", "critical_summary.csv"):

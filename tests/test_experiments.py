@@ -136,6 +136,7 @@ def test_run_critical_sweep_small():
     # deterministic
     again = run_critical_sweep(config)
     assert again.rows == result.rows
+    assert again.events == result.events > 0
 
 
 def test_run_critical_sweep_validates():
@@ -226,7 +227,7 @@ def test_write_outputs_empty_results(tmp_path):
     assert (hydro_dir / "hydro_convergence.csv").read_text() == \
         "L,gamma,replica,err_i0,err_i1\n"
     crit_dir = tmp_path / "c"
-    write_critical_outputs(CriticalResult([], [], {}),
+    write_critical_outputs(CriticalResult([], [], {}, 0),
                            RunManifest("critical-sweep", config), crit_dir)
     assert (crit_dir / "critical.csv").read_text() == \
         "beta,alpha,L,replica,seed,x_inf,target\n"

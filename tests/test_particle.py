@@ -16,6 +16,7 @@ from epilattice.particle import (
     REMOVED,
     SUSCEPTIBLE,
     EpidemicState,
+    _draw_event,
     gillespie_step,
     init_exact_counts,
     init_random,
@@ -322,6 +323,76 @@ def test_golden_trajectories(spec, init, mid, end):
     assert _fingerprint(state) == mid
     run_to_absorption(state)
     assert _fingerprint(state) == end
+
+
+_BOUND_SIZES = [1, 2, 3, 2**31 + 5, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64,
+                                           np.random.SFC64, np.random.MT19937])
+@pytest.mark.parametrize("prefill", [False, True], ids=["half-empty", "half-full"])
+def test_slot_draw_matches_generator_integers(bit_generator, prefill):
+    # the uniform sampler draws registry slots inline from raw words; they
+    # must equal Generator.integers(n) called in the event loop's order.
+    # Registries are stood in for by ranges, so n can reach 2**32.
+    kernel = build_kernel(TorusGrid(1, 10), MeanField())
+    rng, twin = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    if prefill:  # leaves a buffered 32-bit half-word, where there is one
+        rng.integers(5)
+        twin.integers(5)
+    state = EpidemicState(kernel, 1.0, np.ones(10, dtype=np.int8), rng)
+    pick = np.random.default_rng(0)
+    random_n = (pick.integers(1, 1000, 200).tolist()
+                + pick.integers(1, 2**32, 200, endpoint=True).tolist())
+    for n in [n for n in _BOUND_SIZES for _ in range(25)] + random_n:
+        # (n, 0) draws a recovery slot among n; (1, n) often an infection slot
+        for n_inf, n_sus in ((n, 0), (1, n)):
+            state.n_inf, state.n_sus = n_inf, n_sus
+            state._inf_sites, state._sus_sites = range(n_inf), range(n_sus)
+            total = state._unit_rate * n_sus * n_inf + n_inf
+            dt = twin.standard_exponential() / total
+            if twin.random() * total < n_inf:
+                expected = (dt, "recovery", twin.integers(n_inf))
+            else:
+                expected = (dt, "infection", twin.integers(n_sus))
+            dt, kind, site, slot = _draw_event(state)
+            assert (dt, kind, slot) == expected and site == slot
+    # both consumed the same raw words
+    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("bit_generator, prefill, pinned", [
+    (np.random.MT19937, False,
+     (2036, 2036, "21.371613430639677",
+      "31422998842ad66235afe498fa3aa090b8a94b9054de6b4865699dce4c385984",
+      2911932060)),
+    (np.random.Philox, True,
+     (1524, 1524, "24.346280819201944",
+      "5bfcabbeefa4aed104165a2551a108beaa68ff781c915d501482092b1c5c88ae",
+      17172228280106860901)),
+    (np.random.PCG64, True,
+     (1838, 1838, "29.245215157273428",
+      "6eb07de9c3c6f2b4c4571f51aa030ddfee23134074559c2c243d4b9a0111a5fa",
+      15138898767602735842)),
+    (np.random.SFC64, True,
+     (1802, 1802, "16.697382227618785",
+      "fc026fdad283b3a87bf55d7f12c1bfcbb2943ede1bd611c5c5b8d01caa7be158",
+      11188256529640884891)),
+], ids=["MT19937", "Philox-half-full", "PCG64-half-full", "SFC64-half-full"])
+def test_golden_mean_field_runs_across_generators(bit_generator, prefill, pinned):
+    # pinned when every slot came from Generator.integers: the events, clock,
+    # final eta and the next raw word after the run
+    kernel = build_kernel(TorusGrid(2, 40), MeanField())
+    eta = np.zeros(1600, dtype=np.int8)
+    eta[::80] = INFECTED
+    rng = np.random.Generator(bit_generator(2024))
+    if prefill:
+        rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    state = EpidemicState(kernel, 1.5, eta, rng)
+    run_to_absorption(state)
+    assert (state.events, state.attempts, repr(state.time), _sha256(state.eta),
+            rng.bit_generator.random_raw()) == pinned
 
 
 def _final_state(state):
