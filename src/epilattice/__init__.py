@@ -7,7 +7,7 @@ susceptible density.
 """
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .grid import (
     DiscreteKernel,

@@ -7,10 +7,12 @@ Two experiment families are automated here:
   through a family of test functions; the sup (over sampled times and test
   functions) discrepancy per replica is the convergence observable, and its
   per-L median should shrink like L^{-1/2};
-* the threshold study ``run_critical_sweep`` — absorption runs seeded with
-  a vanishing infected fraction gamma^alpha, whose final susceptible
-  fraction concentrates near 1 below beta = 1 and near the root of
-  x = e^{beta(x-1)} above it.
+* the threshold study ``run_critical_sweep`` — mean-field absorption runs
+  seeded with a vanishing infected fraction gamma^alpha, whose final
+  susceptible fraction concentrates near 1 below beta = 1 and near the root
+  of x = e^{beta(x-1)} above it. Only final sizes are needed, so each is
+  drawn exactly from the counts' absorption chain
+  (``particle.absorb_mean_field``), with no event loop.
 
 Every replica draws its generator from a seed derived deterministically
 from (master seed, job position, L, replica index), so sweeps are
@@ -34,7 +36,8 @@ from .config import ExperimentConfig, parse_profile_pair
 from .errors import ConfigError, DomainError, IoError
 from .grid import MeanField, TorusGrid, build_kernel, parse_kernel_spec
 from .meanfield import hat_x_infinity
-from .particle import init_exact_counts, init_random, make_rng, run_sampled, run_to_absorption
+from .particle import (absorb_mean_field, init_exact_counts, init_random, make_rng,
+                       run_sampled, run_to_absorption)
 from .pde import DensityField, integrate_pde
 
 FLOAT_FMT = "%.17g"
@@ -278,7 +281,8 @@ class CriticalResult:
     rows: list[tuple]     # (beta, alpha, L, replica, seed, x_inf, target)
     summary: list[tuple]  # (beta, alpha, L, n_infected, median, mean, std, target)
     realized: dict[int, int]  # L -> initial infected count
-    events: int           # committed particle events over all replicas
+    events: int           # committed events over all replicas, counted on the
+                          # absorption chain: as many as particle runs commit
 
 
 def seeded_infected_count(L: int, d: int, alpha: float) -> int:
@@ -290,12 +294,13 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     """Final susceptible fractions under vanishing seeding, across beta and L.
 
     Initial states carry exactly round(gamma^alpha L^d) infected sites and
-    no removed sites. The theoretical target column is 1 for beta <= 1 and
-    the first positive root of x = e^{beta(x-1)} above threshold.
+    no removed sites; no kernel is built, since the mean-field final size
+    depends on L only through n = L^d. The theoretical target column is 1
+    for beta <= 1 and the first positive root of x = e^{beta(x-1)} above
+    threshold.
     """
     alpha = config.require_alpha_critical()
-    spec = parse_kernel_spec(config.kernel)
-    if not isinstance(spec, MeanField):
+    if not isinstance(parse_kernel_spec(config.kernel), MeanField):
         raise ConfigError(
             f"critical sweeps are defined for the meanfield kernel, got {config.kernel!r}")
     rows = []
@@ -305,22 +310,21 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     for beta_idx, beta in enumerate(config.betas):
         target = hat_x_infinity(beta).value
         for L in config.L_values:
-            grid = TorusGrid(config.d, L)
-            kernel = build_kernel(grid, spec)
+            n = L ** config.d
             n_inf = seeded_infected_count(L, config.d, alpha)
-            if not 0 < n_inf <= grid.n_sites:
+            if not 0 < n_inf <= n:
                 raise ConfigError(
                     f"alpha = {alpha} gives {n_inf} initial infected at L = {L}")
-            n_sus = grid.n_sites - n_inf
             realized[L] = n_inf
             finals = np.empty(config.replicas)
             for replica in range(config.replicas):
                 seed = derive_seed(config.seed, beta_idx, L, replica)
-                state = init_exact_counts(kernel, beta, n_sus, n_inf, make_rng(seed))
-                final = run_to_absorption(state)
-                finals[replica] = final.x_inf
-                events += final.events
-                rows.append((beta, alpha, L, replica, seed, final.x_inf, target))
+                n_sus, n_events = absorb_mean_field(n, beta, n - n_inf, n_inf,
+                                                    make_rng(seed))
+                x_inf = n_sus / n
+                finals[replica] = x_inf
+                events += n_events
+                rows.append((beta, alpha, L, replica, seed, x_inf, target))
             std = float(finals.std(ddof=1)) if config.replicas > 1 else 0.0
             summary.append((beta, alpha, L, n_inf, float(np.median(finals)),
                             float(finals.mean()), std, target))

@@ -7,7 +7,8 @@ site x becomes infected at rate
 
 an infected site recovers at rate 1, and events are realized one at a time.
 Nothing is approximated — the simulator implements the jump chain of the
-continuous-time Markov process exactly. Two samplers realize it:
+continuous-time Markov process exactly. Two samplers realize it event by
+event, and a third draws mean-field final sizes alone:
 
 * finite-support kernels use thinning (Lewis & Shedler 1979; Cota &
   Ferreira 2017): every infected site recovers at rate 1 and fires
@@ -18,7 +19,16 @@ continuous-time Markov process exactly. Two samplers realize it:
   stored, and a committed event costs at most 1 + c attempts on average;
 * the mean-field kernel makes every susceptible site equivalent — the whole
   infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
-  the site is drawn uniformly from a susceptible registry.
+  the site is drawn uniformly from a susceptible registry;
+* by that same equivalence the mean-field counts (n_sus, n_inf) form a
+  Markov chain of their own: with s susceptible sites left, the next event
+  is an infection with probability q(s) = a*s / (a*s + 1), a = beta *
+  gamma^d, whatever n_inf is. So the recoveries before each infection are
+  independent Geometric(q(s)) - 1 draws, one per s, and the run is absorbed
+  once the recoveries so far use up the sites infected so far (compare
+  Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
+  final count this way, with the law ``run_to_absorption`` realizes but
+  not its random stream, and no event loop.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -59,8 +69,9 @@ REMOVED = -1
 #: (``fresh_site_rates``).
 DRIFT_REBUILD_TOL = 1e-9
 
-#: Uniforms the thinning sampler draws from the generator at a time; fixed,
-#: so that consumption is a function of (seed, config) alone.
+#: Variates drawn from the generator at a time: uniforms by the thinning
+#: sampler, geometrics by ``absorb_mean_field``; fixed, so that consumption
+#: is a function of (seed, config) alone.
 UNIFORM_BLOCK = 4096
 
 
@@ -433,3 +444,35 @@ def run_to_absorption(state: EpidemicState) -> FinalState:
     while state.n_inf > 0:
         _commit(state, *_draw_event(state))
     return FinalState(state.n_sus / state.grid.n_sites, state.events, state.time)
+
+
+def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
+                      rng: np.random.Generator) -> tuple[int, int]:
+    """(final susceptible count, committed events) of a mean-field run from
+    ``n_sus`` susceptible and ``n_inf`` infected sites, drawn from the
+    counts' absorption chain (module docstring); no site, event or time is
+    simulated.
+
+    Infection k (k = 0, 1, ...) happens with s = n_sus - k susceptible sites
+    left, after Geometric(q(s)) - 1 recoveries. The run absorbs at the first
+    k whose recoveries so far reach n_inf + k, else at k = n_sus, leaving
+    n_sus - k susceptible sites after n_inf + 2k events. The geometrics are
+    drawn ``UNIFORM_BLOCK`` at a time, up to the block that absorbs.
+    """
+    if n_sus < 0 or n_inf < 0 or n_sus + n_inf > n_sites:
+        raise CountOverflowError(
+            f"counts ({n_sus}, {n_inf}) incompatible with {n_sites} sites")
+    if not beta > 0.0:
+        raise InvalidProfileError(f"beta must be positive, got {beta}")
+    a = beta / n_sites
+    recovered = 0  # recoveries before infection k0
+    for k0 in range(0, n_sus, UNIFORM_BLOCK):
+        k = np.arange(k0, min(k0 + UNIFORM_BLOCK, n_sus))
+        pressure = a * (n_sus - k)
+        cum = recovered + np.cumsum(rng.geometric(pressure / (pressure + 1.0)) - 1)
+        hit = np.flatnonzero(cum >= n_inf + k)
+        if hit.size:
+            k_end = k0 + int(hit[0])
+            return n_sus - k_end, n_inf + 2 * k_end
+        recovered = int(cum[-1])
+    return 0, n_inf + 2 * n_sus

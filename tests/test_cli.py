@@ -201,6 +201,21 @@ def test_hydro_sweep_and_simulate_in_two_dimensions(tmp_path):
     assert realized["attempts"] > realized["events"] > 0
 
 
+def test_simulate_random_init_in_three_dimensions(tmp_path):
+    config = _write_config(tmp_path, "sim3.txt", d=3, L=6, kernel="tophat:0.3",
+                           beta=2.0, rho0=0.9, rho1="bump:0.1,0.3", init="random",
+                           replicas=2, seed=3, t_end=1, samples=3)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "s")]) == 0
+    for replica in range(2):
+        lines = (tmp_path / "s" / f"trajectory_r{replica}.csv").read_text()
+        assert len(lines.splitlines()) == 1 + 3
+    finals = (tmp_path / "s" / "final.csv").read_text().splitlines()[1:]
+    assert len(finals) == 2
+    realized = _realized(tmp_path / "s")
+    assert realized["events"] == sum(int(line.split(",")[3]) for line in finals)
+    assert realized["attempts"] >= realized["events"] > 0
+
+
 def test_critical_sweep_and_manifest_rerun(tmp_path):
     config = _write_config(tmp_path, "crit.txt", d=1, L="50, 100",
                            beta="0.5, 2", alpha=0.25, replicas=4, seed=9)

@@ -139,6 +139,36 @@ def test_run_critical_sweep_small():
     assert again.events == result.events > 0
 
 
+def test_golden_critical_sweep():
+    # pinned final susceptible counts and events of a small d = 1 sweep:
+    # any change to the sweep's seeds or to the absorption chain's stream
+    # moves them
+    config = ExperimentConfig(L_values=(50, 100), betas=(0.5, 2.0),
+                              alpha=0.25, replicas=3, seed=3)
+    result = run_critical_sweep(config)
+    finals = [round(row[5] * row[2]) for row in result.rows]
+    assert finals == [19, 30, 25, 51, 47, 44, 13, 14, 7, 19, 21, 3]
+    assert [row[5] for row in result.rows] == [
+        n_sus / row[2] for n_sus, row in zip(finals, result.rows)]
+    assert result.events == 908
+
+
+def test_run_critical_sweep_three_dimensions():
+    config = ExperimentConfig(d=3, L_values=(6, 10), betas=(0.5, 2.0),
+                              alpha=0.25, replicas=4, seed=3)
+    result = run_critical_sweep(config)
+    assert len(result.rows) == 2 * 2 * 4
+    assert result.realized == {6: round(6 ** 2.75), 10: round(10 ** 2.75)}
+    expected = 0
+    for beta, alpha, L, replica, seed, x_inf, target in result.rows:
+        n, n_inf = L ** 3, result.realized[L]
+        n_sus = round(x_inf * n)
+        assert x_inf == n_sus / n and 0 <= n_sus <= n - n_inf
+        expected += n_inf + 2 * (n - n_inf - n_sus)
+    assert result.events == expected
+    assert run_critical_sweep(config).rows == result.rows
+
+
 def test_run_critical_sweep_validates():
     with pytest.raises(ConfigError, match="meanfield"):
         run_critical_sweep(ExperimentConfig(kernel="tophat:0.1", alpha=0.25))
@@ -172,6 +202,20 @@ def test_run_hydro_sweep_two_dimensions():
     assert [row[:3] for row in result.rows] == [
         (L, 1 / L, replica) for L in (8, 12) for replica in range(2)]
     assert all(0.0 <= err < 1.0 for row in result.rows for err in row[3:])
+    assert run_hydro_sweep(config).rows == result.rows
+
+
+def test_run_hydro_sweep_three_dimensions():
+    config = ExperimentConfig(d=3, L_values=(6, 8), kernel="tophat:0.3",
+                              betas=(2.0,), rho0="0.9", rho1="0.1",
+                              replicas=2, seed=5, t_end=1.0, samples=3,
+                              dt=0.05)
+    result = run_hydro_sweep(config)
+    assert [row[:3] for row in result.rows] == [
+        (L, 1.0 / L, replica) for L in (6, 8) for replica in range(2)]
+    errs = np.array([row[3:] for row in result.rows])
+    assert np.isfinite(errs).all() and (errs >= 0).all()
+    assert set(result.medians) == {6, 8} and math.isfinite(result.slope)
     assert run_hydro_sweep(config).rows == result.rows
 
 

@@ -15,8 +15,10 @@ from epilattice.particle import (
     INFECTED,
     REMOVED,
     SUSCEPTIBLE,
+    UNIFORM_BLOCK,
     EpidemicState,
     _draw_event,
+    absorb_mean_field,
     gillespie_step,
     init_exact_counts,
     init_random,
@@ -525,3 +527,77 @@ def test_mean_field_tracks_ode_at_moderate_size():
     for k, t in enumerate((2.0, 5.0)):
         assert abs(acc[k, 0] - ode[t].x[-1]) < 0.02
         assert abs(acc[k, 1] - ode[t].y[-1]) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# final sizes from the mean-field absorption chain
+# ---------------------------------------------------------------------------
+
+def _ks_pvalue(a, b):
+    """Two-sample Kolmogorov-Smirnov p-value, asymptotic (conservative on ties)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    stat = np.abs(np.searchsorted(a, grid, side="right") / a.size
+                  - np.searchsorted(b, grid, side="right") / b.size).max()
+    en = np.sqrt(a.size * b.size / (a.size + b.size))
+    lam = (en + 0.12 + 0.11 / en) * stat
+    j = np.arange(1, 101)
+    return float(np.clip(2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * lam) ** 2)),
+                         0.0, 1.0))
+
+
+@pytest.mark.parametrize("beta, n_inf", [(2.0, 104), (0.8, 104), (2.0, 4)],
+                         ids=["supercritical", "subcritical", "early-extinction"])
+def test_absorb_mean_field_law_matches_particle_runs(beta, n_inf):
+    # the chain's final susceptible count has the law of the event-by-event
+    # run from the same counts, on a d = 2, L = 20 torus
+    kernel = build_kernel(TorusGrid(2, 20), MeanField())
+    n_sus, replicas = 400 - n_inf, 2000
+    particle = np.array([run_to_absorption(
+        init_exact_counts(kernel, beta, n_sus, n_inf, seed)).x_inf * 400
+        for seed in range(replicas)])
+    chain = []
+    for seed in range(replicas):
+        final, events = absorb_mean_field(400, beta, n_sus, n_inf,
+                                          make_rng(10**6 + seed))
+        assert 0 <= final <= n_sus and events == n_inf + 2 * (n_sus - final)
+        chain.append(final)
+    assert _ks_pvalue(np.round(particle), np.array(chain)) > 0.01
+
+
+def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
+    # the chain without blocks: every geometric drawn in one call
+    k = np.arange(n_sus)
+    pressure = beta / n_sites * (n_sus - k)
+    cum = np.cumsum(rng.geometric(pressure / (pressure + 1.0)) - 1)
+    hit = np.flatnonzero(cum >= n_inf + k)
+    k_end = int(hit[0]) if hit.size else n_sus
+    return n_sus - k_end, n_inf + 2 * k_end
+
+
+def test_absorb_mean_field_carries_across_blocks():
+    n = 3 * UNIFORM_BLOCK
+    for seed in range(4):
+        final = absorb_mean_field(n, 2.0, n - 200, 200, make_rng(seed))
+        assert final == _absorb_at_once(n, 2.0, n - 200, 200, make_rng(seed))
+        # absorbed past the first block boundary, so the carry was used
+        assert n - 200 - final[0] > UNIFORM_BLOCK
+
+
+def test_absorb_mean_field_edge_cases():
+    rng, twin = make_rng(5), make_rng(5)
+    assert absorb_mean_field(100, 2.0, 0, 7, rng) == (0, 7)  # pure decay
+    assert rng.random() == twin.random()  # drew nothing
+    assert absorb_mean_field(100, 2.0, 60, 0, rng) == (60, 0)  # nothing to spread
+    # one infected site: the first event is its recovery w.p. 1 / (a*s + 1)
+    a_s, draws = 2.0 * 60 / 100, 4000
+    none = sum(absorb_mean_field(100, 2.0, 60, 1, make_rng(seed)) == (60, 1)
+               for seed in range(draws))
+    p = 1.0 / (a_s + 1.0)
+    assert abs(none / draws - p) < 5 * np.sqrt(p * (1 - p) / draws)
+    with pytest.raises(CountOverflowError):
+        absorb_mean_field(100, 2.0, 90, 11, rng)
+    with pytest.raises(CountOverflowError):
+        absorb_mean_field(100, 2.0, -1, 1, rng)
+    with pytest.raises(InvalidProfileError):
+        absorb_mean_field(100, 0.0, 90, 10, rng)
