@@ -11,7 +11,8 @@
 ``--seed`` and ``--out`` override the config's ``seed`` / ``out_dir``. Any
 manifest written by a previous run can be passed to ``--config`` directly.
 Exit codes: 0 success, 2 configuration/input problem, 3 numerical failure
-(instability, non-convergence, domain violations), 1 unexpected error.
+(instability, non-convergence, domain violations), 1 unexpected error (its
+traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import math
 import sys
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,7 +299,8 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc()
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

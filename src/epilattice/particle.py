@@ -27,8 +27,8 @@ event, and a third draws mean-field final sizes alone:
   independent Geometric(q(s)) - 1 draws, one per s, and the run is absorbed
   once the recoveries so far use up the sites infected so far (compare
   Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
-  final count this way, with the law ``run_to_absorption`` realizes but
-  not its random stream, and no event loop.
+  final count this way, each run by inversion from one exponential, with
+  the law ``run_to_absorption`` realizes but not its stream, and no event loop.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -70,7 +70,7 @@ REMOVED = -1
 DRIFT_REBUILD_TOL = 1e-9
 
 #: Variates drawn from the generator at a time: uniforms by the thinning
-#: sampler, geometrics by ``absorb_mean_field``; fixed, so that consumption
+#: sampler, exponentials by ``absorb_mean_field``; fixed, so that consumption
 #: is a function of (seed, config) alone.
 UNIFORM_BLOCK = 4096
 
@@ -454,25 +454,31 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     simulated.
 
     Infection k (k = 0, 1, ...) happens with s = n_sus - k susceptible sites
-    left, after Geometric(q(s)) - 1 recoveries. The run absorbs at the first
-    k whose recoveries so far reach n_inf + k, else at k = n_sus, leaving
-    n_sus - k susceptible sites after n_inf + 2k events. The geometrics are
-    drawn ``UNIFORM_BLOCK`` at a time, up to the block that absorbs.
+    left, after floor(E / log1p(a*s)) recoveries, E standard exponential:
+    Geometric(q(s)) - 1 by inversion (Devroye 1986, ch. X). The run absorbs
+    at the first k whose recoveries so far reach n_inf + k, else at k = n_sus,
+    leaving n_sus - k susceptible sites after n_inf + 2k events. The float64
+    sums are exact integers below n_sites until that k, where monotone
+    rounding cannot drop below n_inf + k; no huge run wraps as in int64.
+    Exponentials are drawn ``UNIFORM_BLOCK`` at a time, up to the block that
+    absorbs.
     """
     if n_sus < 0 or n_inf < 0 or n_sus + n_inf > n_sites:
         raise CountOverflowError(
             f"counts ({n_sus}, {n_inf}) incompatible with {n_sites} sites")
     if not beta > 0.0:
         raise InvalidProfileError(f"beta must be positive, got {beta}")
+    if n_inf == 0:
+        return n_sus, 0
     a = beta / n_sites
     recovered = 0  # recoveries before infection k0
     for k0 in range(0, n_sus, UNIFORM_BLOCK):
         k = np.arange(k0, min(k0 + UNIFORM_BLOCK, n_sus))
-        pressure = a * (n_sus - k)
-        cum = recovered + np.cumsum(rng.geometric(pressure / (pressure + 1.0)) - 1)
-        hit = np.flatnonzero(cum >= n_inf + k)
+        cum = rng.standard_exponential(k.size) / np.log1p(a * (n_sus - k))
+        np.cumsum(np.floor(cum, out=cum), out=cum)
+        hit = np.flatnonzero(cum >= n_inf + k - recovered)
         if hit.size:
             k_end = k0 + int(hit[0])
             return n_sus - k_end, n_inf + 2 * k_end
-        recovered = int(cum[-1])
+        recovered += int(cum[-1])
     return 0, n_inf + 2 * n_sus

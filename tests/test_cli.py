@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from epilattice import cli
 from epilattice.cli import main
 
 
@@ -261,6 +262,17 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                            rho0=0.9, rho1=0.1, dt=0.1, t_end=5, samples=6)
     assert main(["pde", "--config", config, "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_unexpected_error_prints_traceback(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("kaboom")
+    monkeypatch.setitem(cli._COMMANDS, "meanfield", (boom, False))
+    assert main(["meanfield"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "in boom" in err
+    assert "unexpected error: RuntimeError: kaboom" in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -565,11 +565,43 @@ def test_absorb_mean_field_law_matches_particle_runs(beta, n_inf):
     assert _ks_pvalue(np.round(particle), np.array(chain)) > 0.01
 
 
+def _final_susceptible_pmf(n_sites, beta, n_sus, n_inf):
+    # exact law of the final susceptible count: push the probability mass of
+    # each chain state (s, i) to (s - 1, i + 1) w.p. q(s) and to (s, i - 1)
+    # otherwise, s descending and, within s, i descending
+    a = beta / n_sites
+    mass = np.zeros((n_sus + 1, n_sus + n_inf + 1))
+    mass[n_sus, n_inf] = 1.0
+    for s in range(n_sus, -1, -1):
+        q = a * s / (a * s + 1.0)
+        for i in range(n_inf + n_sus - s, 0, -1):
+            if s:
+                mass[s - 1, i + 1] += q * mass[s, i]
+            mass[s, i - 1] += (1.0 - q) * mass[s, i]
+    return mass[:, 0]
+
+
+@pytest.mark.parametrize("n_sites, beta, n_sus, n_inf",
+                         [(8, 2.0, 6, 2), (8, 0.8, 7, 1), (12, 3.0, 10, 2)])
+def test_absorb_mean_field_matches_exact_pmf(n_sites, beta, n_sus, n_inf):
+    # every final count within 5 sigma of its exact expectation; unlike the
+    # KS cells above, this sees an absorption one step late
+    pmf = _final_susceptible_pmf(n_sites, beta, n_sus, n_inf)
+    assert abs(pmf.sum() - 1.0) < 1e-12
+    draws = 20000
+    finals = [absorb_mean_field(n_sites, beta, n_sus, n_inf, make_rng(seed))[0]
+              for seed in range(draws)]
+    counts = np.bincount(finals, minlength=n_sus + 1)
+    sigma = np.sqrt(draws * pmf * (1.0 - pmf))
+    assert np.all(np.abs(counts - draws * pmf) <= 5.0 * sigma)
+
+
 def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
-    # the chain without blocks: every geometric drawn in one call
+    # the chain without blocks: every recovery run drawn in one call and
+    # summed in int64
     k = np.arange(n_sus)
-    pressure = beta / n_sites * (n_sus - k)
-    cum = np.cumsum(rng.geometric(pressure / (pressure + 1.0)) - 1)
+    runs = rng.standard_exponential(n_sus) / np.log1p(beta / n_sites * (n_sus - k))
+    cum = np.cumsum(runs.astype(np.int64))
     hit = np.flatnonzero(cum >= n_inf + k)
     k_end = int(hit[0]) if hit.size else n_sus
     return n_sus - k_end, n_inf + 2 * k_end
@@ -589,6 +621,10 @@ def test_absorb_mean_field_edge_cases():
     assert absorb_mean_field(100, 2.0, 0, 7, rng) == (0, 7)  # pure decay
     assert rng.random() == twin.random()  # drew nothing
     assert absorb_mean_field(100, 2.0, 60, 0, rng) == (60, 0)  # nothing to spread
+    assert rng.random() == twin.random()  # drew nothing
+    # a*s so small that the first recovery run overflows int64: the lone
+    # infected site still recovers first
+    assert absorb_mean_field(100, 1e-20, 99, 1, rng) == (99, 1)
     # one infected site: the first event is its recovery w.p. 1 / (a*s + 1)
     a_s, draws = 2.0 * 60 / 100, 4000
     none = sum(absorb_mean_field(100, 2.0, 60, 1, make_rng(seed)) == (60, 1)
