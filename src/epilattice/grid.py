@@ -23,6 +23,7 @@ system consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -202,7 +203,7 @@ class DiscreteKernel:
         if np.any(np.diff(w) > 1e-15):
             raise InvalidSpecError("kernel weights increase with distance")
 
-    # -- cached machinery for convolve --------------------------------------
+    # -- cached machinery for convolve and the particle thinning sampler ----
 
     def _fft(self) -> np.ndarray:
         if self._fft_cache is None:
@@ -217,6 +218,14 @@ class DiscreteKernel:
                     for z in self.offsets]
             self._gather_cache = np.array(rows, dtype=np.int32)
         return self._gather_cache
+
+    @cached_property
+    def _thinning(self) -> tuple[list, list]:
+        """Cumulative weights, and per offset the (stride, step) pairs it
+        adds along each axis of the flat site index."""
+        strides = [self.grid.L**k for k in range(self.grid.d - 1, -1, -1)]
+        return (np.cumsum(self.weights).tolist(),
+                [tuple(zip(strides, z)) for z in self.offsets.tolist()])
 
 
 def build_kernel(grid: TorusGrid, spec: KernelSpec) -> DiscreteKernel:

@@ -33,22 +33,23 @@ event, and a third draws mean-field final sizes alone:
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
 removes that entry by moving the last one into its place and popping, so
-add and remove are O(1) and no site-to-slot map is kept. Per-site rates
-are computed on demand from the infected registry (``site_rates``) and
-audited against the convolution definition (``audit_rates``). Random
-numbers are consumed in a fixed per-event order, so a run is
-bit-reproducible from (seed, config). The state owns its generator: the
-thinning path prefetches blocks of ``UNIFORM_BLOCK`` uniforms, and the
-mean-field path draws registry slots exactly as ``Generator.integers``
-does, but inline from the bit generator's raw words, holding the buffered
-32-bit half-word itself. Nothing else may draw from the generator while a
-state runs on it.
+add and remove are O(1) and no site-to-slot map is kept. Each sampler
+draws and commits in one loop over locals (``_advance``), and the thinning
+constants are built once per kernel. Per-site rates are computed on demand
+from the infected registry (``site_rates``) and audited against the
+convolution definition (``audit_rates``). Random numbers are consumed in a
+fixed per-event order, so a run is bit-reproducible from (seed, config).
+The state owns its generator: the thinning path reads uniforms by index
+from blocks of ``UNIFORM_BLOCK``, and the mean-field path draws registry
+slots exactly as ``Generator.integers`` does, but inline from the bit
+generator's raw words, holding the buffered 32-bit half-word itself.
+Nothing else may draw from the generator while a state runs on it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,12 +81,6 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
-    """Endless uniforms on [0, 1), drawn ``UNIFORM_BLOCK`` at a time."""
-    while True:
-        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 class EventRecord(NamedTuple):
@@ -123,21 +118,25 @@ class EpidemicState:
     def __init__(self, kernel: DiscreteKernel, beta: float, eta: np.ndarray,
                  rng: np.random.Generator):
         grid = kernel.grid
-        eta = np.array(eta, dtype=np.int8).ravel()  # a copy: runs mutate it
-        if eta.size != grid.n_sites:
+        values = np.asarray(eta).ravel()
+        if values.size != grid.n_sites:
             raise GridMismatchError(
-                f"eta has {eta.size} sites, grid has {grid.n_sites}")
-        if not np.isin(eta, (SUSCEPTIBLE, INFECTED, REMOVED)).all():
+                f"eta has {values.size} sites, grid has {grid.n_sites}")
+        # the counts reach n_sites only if every value, before the int8 cast, is -1, 0 or 1
+        sus, inf = values == SUSCEPTIBLE, values == INFECTED
+        self.n_sus, self.n_inf = int(np.count_nonzero(sus)), int(np.count_nonzero(inf))
+        self.n_rem = int(np.count_nonzero(values == REMOVED))
+        if self.n_sus + self.n_inf + self.n_rem != grid.n_sites:
             raise InvalidProfileError("eta entries must be -1, 0 or 1")
         if not beta > 0.0:
             raise InvalidProfileError(f"beta must be positive, got {beta}")
         self.kernel = kernel
         self.grid = grid
         self.beta = float(beta)
-        self.eta = eta
+        self.eta = values.astype(np.int8)  # a copy: runs mutate it
         # the event loop reads and writes eta through this view, which takes
         # and gives Python ints instead of numpy scalars
-        self._eta = memoryview(eta)
+        self._eta = memoryview(self.eta)
         self.rng = rng
         self.time = 0.0
         self.events = 0
@@ -145,18 +144,12 @@ class EpidemicState:
         self.attempts = 0
         self.uniform_path = kernel.uniform
 
-        self.n_sus = int((eta == SUSCEPTIBLE).sum())
-        self.n_inf = int((eta == INFECTED).sum())
-        self.n_rem = grid.n_sites - self.n_sus - self.n_inf
-
         # registries: lists of sites in one state, addressed by the slot the
         # sampler draws; an entry leaves by swapping with the last and popping
-        self._inf_sites = np.flatnonzero(eta == INFECTED).tolist()
+        self._inf_sites = np.flatnonzero(inf).tolist()
         if self.uniform_path:
-            self._sus_sites = np.flatnonzero(eta == SUSCEPTIBLE).tolist()
+            self._sus_sites = np.flatnonzero(sus).tolist()
             self._unit_rate = self.beta * grid.cell_volume()
-            self._exponential = rng.standard_exponential
-            self._random = rng.random
             # Registry slots are drawn as Generator.integers(n) draws them,
             # but inline from raw 64-bit words; the state takes over the
             # generator's buffered 32-bit half-word. Generators without one
@@ -167,17 +160,11 @@ class EpidemicState:
                 self._raw = rng.bit_generator.random_raw
                 self._half = bit_state["uinteger"] if bit_state["has_uint32"] else None
             else:
-                self._raw = None
-                self._integers = rng.integers
+                self._raw = self._half = None
         else:
-            self._offsets = kernel.offsets.astype(np.int64)
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
             self._attempt_rate = float(self._contrib.sum())
-            self._cum_weights = np.cumsum(kernel.weights).tolist()
-            # per offset, (stride, step) along each axis of the flat index
-            strides = [grid.L**k for k in range(grid.d - 1, -1, -1)]
-            self._shifts = [tuple(zip(strides, z)) for z in self._offsets.tolist()]
-            self._uniform = _uniform_stream(rng).__next__
+            self._uniforms, self._next_uniform = [], 0  # a block, next unread index
 
     # -- rates ---------------------------------------------------------------
 
@@ -203,7 +190,7 @@ class EpidemicState:
             np.array(self._inf_sites, dtype=np.int64), shape))
         # offset-major targets, so each site adds its contributions in offset order
         targets = np.ravel_multi_index(
-            coords[:, None, :] + self._offsets.T[:, :, None], shape, mode="wrap")
+            coords[:, None, :] + self.kernel.offsets.T[:, :, None], shape, mode="wrap")
         rates = np.bincount(targets.ravel(), weights=np.repeat(self._contrib, self.n_inf),
                             minlength=self.grid.n_sites)
         # bincount returns integer zeros when no site is infected
@@ -252,13 +239,13 @@ def init_random(kernel: DiscreteKernel, beta: float, rho0, rho1,
     grid = kernel.grid
     r0 = _broadcast_profile(grid, rho0, "rho0")
     r1 = _broadcast_profile(grid, rho1, "rho1")
-    if r0.min() < 0 or r1.min() < 0 or (r0 + r1).max() > 1.0 + 1e-12:
-        raise InvalidProfileError("need rho0, rho1 >= 0 with rho0 + rho1 <= 1")
+    # written so that a NaN, which fails every comparison, is rejected too
+    if not (r0.min() >= 0 and r1.min() >= 0 and (r0 + r1).max() <= 1.0 + 1e-12):
+        raise InvalidProfileError("need finite rho0, rho1 >= 0 with rho0 + rho1 <= 1")
     rng = make_rng(seed)
     u = rng.random(grid.n_sites)
-    eta = np.full(grid.n_sites, REMOVED, dtype=np.int8)
-    eta[u < r1] = INFECTED
-    eta[(u >= r1) & (u < r0 + r1)] = SUSCEPTIBLE
+    # u < rho1 implies u < rho0 + rho1, so eta is 1, 0 or -1
+    eta = (u < r1).astype(np.int8) + (u < r0 + r1) - 1
     return EpidemicState(kernel, beta, eta, rng)
 
 
@@ -287,94 +274,118 @@ def total_rate(state: EpidemicState) -> float:
     return state.n_inf + state.infection_rate_total()
 
 
-def _draw_event(state: EpidemicState):
-    """Waiting time and next committed event, advancing the rng.
-
-    Returns (dt, kind, site, slot): ``slot`` is the site's index in the
-    registry it leaves (infected for a recovery, susceptible for a mean-field
-    infection), or None for a thinning infection, whose target has no
-    registry. On the thinning path dt includes the waits of the rejected
-    attempts before the event.
-
-    Raises:
-        AbsorbedError: no infected site is left.
+def _advance(state: EpidemicState, t_stop: float, event=None):
+    """Draw and commit events until one would reach time ``t_stop``; return
+    that one uncommitted, as (dt, kind, site, slot), or None once no site is
+    infected. ``slot`` indexes the registry the site leaves (infected for a
+    recovery, susceptible for a mean-field infection); a thinning infection
+    has None, and its dt includes the waits of the attempts rejected before
+    it. An ``event`` returned earlier is committed first; if that brings the
+    clock to ``t_stop``, nothing is drawn. The state's fields are held in
+    locals and written back before this returns.
     """
-    n_inf = state.n_inf
-    if n_inf == 0:
-        raise AbsorbedError("no infected sites left")
-    if state.uniform_path:
-        total = state._unit_rate * state.n_sus * n_inf + n_inf
-        dt = state._exponential() / total
-        if state._random() * total < n_inf:
-            kind, n, registry = "recovery", n_inf, state._inf_sites
-        else:
-            kind, n, registry = "infection", state.n_sus, state._sus_sites
-        if n == 1:
-            slot = 0  # integers(1) draws nothing
-        elif state._raw is None:
-            slot = state._integers(n)
-        else:
-            # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves, as
-            # integers(n) does it: a raw word gives its low half first and
-            # keeps the high half; the product word * n is rejected when its
-            # low half is under (2**32 - n) % n
-            while True:
-                word = state._half
-                if word is None:
-                    word = state._raw()
-                    state._half = word >> 32
-                    word &= 0xFFFFFFFF
-                else:
-                    state._half = None
-                m = word * n
-                low = m & 0xFFFFFFFF
-                if low >= n or low >= (0x100000000 - n) % n:
-                    break
-            slot = m >> 32
-        return dt, kind, registry[slot], slot
-    # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
-    # rejected attempt leaves the state as it was and only adds its wait
-    u = state._uniform
-    per_site = 1.0 + state._attempt_rate
-    inf_sites, eta, L = state._inf_sites, state._eta, state.grid.L
-    cum = state._cum_weights
-    wait = 0.0
-    while True:
-        wait -= math.log(1.0 - u())
-        slot = int(u() * n_inf)
-        source = inf_sites[slot]
-        if u() * per_site < 1.0:
-            return wait / (n_inf * per_site), "recovery", source, slot
-        target = 0
-        for stride, step in state._shifts[bisect_right(cum, u() * cum[-1])]:
-            target += ((source // stride + step) % L) * stride
-        if eta[target] == SUSCEPTIBLE:
-            return wait / (n_inf * per_site), "infection", target, None
-        state.attempts += 1
-
-
-def _commit(state: EpidemicState, dt: float, kind: str, site: int, slot) -> None:
-    """Apply a drawn event; the site leaves its registry slot, if it has one,
-    by swap-with-last, and a newly infected site is appended."""
-    state.time += dt
-    if kind == "infection":
-        state._eta[site] = INFECTED
-        if slot is not None:
-            sus = state._sus_sites
-            sus[slot] = sus[-1]
-            sus.pop()
-        state.n_sus -= 1
-        state._inf_sites.append(site)
-        state.n_inf += 1
+    time, events, attempts = state.time, state.events, state.attempts
+    n_sus, n_inf, n_rem = state.n_sus, state.n_inf, state.n_rem
+    eta, inf_sites, rng = state._eta, state._inf_sites, state.rng
+    uniform = state.uniform_path
+    if uniform:
+        sus_sites, unit_rate, raw, half = (state._sus_sites, state._unit_rate,
+                                           state._raw, state._half)
+        exponential, random = rng.standard_exponential, rng.random
     else:
-        state._eta[site] = REMOVED
-        inf = state._inf_sites
-        inf[slot] = inf[-1]
-        inf.pop()
-        state.n_inf -= 1
-        state.n_rem += 1
-    state.events += 1
-    state.attempts += 1
+        # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
+        # rejected attempt leaves the state as it was and only adds its wait.
+        # An attempt reads its uniforms from the block at index i: wait,
+        # source slot, recovery test and, for an infection attempt, offset.
+        per_site = 1.0 + state._attempt_rate
+        cum, shifts = state.kernel._thinning
+        cum_total, L, log = cum[-1], state.grid.L, math.log
+        block, i = state._uniforms, state._next_uniform
+        size = len(block)
+    while n_inf:
+        if event is not None:  # returned by an earlier call: commit it first
+            dt, kind, site, slot = event
+            recovery = kind == "recovery"
+        elif uniform:
+            total = unit_rate * n_sus * n_inf + n_inf
+            dt = exponential() / total
+            recovery = random() * total < n_inf
+            n, registry = (n_inf, inf_sites) if recovery else (n_sus, sus_sites)
+            if n == 1:
+                slot = 0  # integers(1) draws nothing
+            elif raw is None:
+                slot = rng.integers(n)
+            else:
+                # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves, as
+                # integers(n) does it: a raw word gives its low half first and
+                # keeps the high half; the product word * n is rejected when
+                # its low half is under (2**32 - n) % n
+                while True:
+                    if half is None:
+                        word = raw()
+                        word, half = word & 0xFFFFFFFF, word >> 32
+                    else:
+                        word, half = half, None
+                    m = word * n
+                    low = m & 0xFFFFFFFF
+                    if low >= n or low >= (0x100000000 - n) % n:
+                        break
+                slot = m >> 32
+            site = registry[slot]
+        else:
+            wait = 0.0
+            while True:
+                if i + 3 > size:  # the unread tail stays first in line
+                    block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
+                    i, size = 0, len(block)
+                wait -= log(1.0 - block[i])
+                slot = int(block[i + 1] * n_inf)
+                site = inf_sites[slot]
+                recovery = block[i + 2] * per_site < 1.0
+                i += 3
+                if recovery:
+                    break
+                if i == size:
+                    block, i, size = rng.random(UNIFORM_BLOCK).tolist(), 0, UNIFORM_BLOCK
+                source, site = site, 0
+                for stride, step in shifts[bisect_right(cum, block[i] * cum_total)]:
+                    site += ((source // stride + step) % L) * stride
+                i += 1
+                if eta[site] == SUSCEPTIBLE:
+                    slot = None
+                    break
+                attempts += 1
+            dt = wait / (n_inf * per_site)
+        if event is None and time + dt >= t_stop:
+            event = dt, "recovery" if recovery else "infection", site, slot
+            break
+        event = None
+        time += dt
+        events += 1
+        attempts += 1
+        if recovery:
+            eta[site] = REMOVED
+            inf_sites[slot] = inf_sites[-1]
+            inf_sites.pop()
+            n_inf -= 1
+            n_rem += 1
+        else:
+            if slot is not None:
+                sus_sites[slot] = sus_sites[-1]
+                sus_sites.pop()
+            eta[site] = INFECTED
+            n_sus -= 1
+            inf_sites.append(site)
+            n_inf += 1
+        if time >= t_stop:
+            break
+    if uniform:
+        state._half = half
+    else:
+        state._uniforms, state._next_uniform = block, i
+    state.time, state.events, state.attempts = time, events, attempts
+    state.n_sus, state.n_inf, state.n_rem = n_sus, n_inf, n_rem
+    return event
 
 
 def gillespie_step(state: EpidemicState) -> EventRecord:
@@ -383,21 +394,11 @@ def gillespie_step(state: EpidemicState) -> EventRecord:
     Raises:
         AbsorbedError: the epidemic is over (no infected sites).
     """
-    dt, kind, site, slot = _draw_event(state)
-    _commit(state, dt, kind, site, slot)
-    return EventRecord(state.time, kind, site)
-
-
-def _snapshot(state: EpidemicState, t: float,
-              test_functions: Optional[np.ndarray]) -> TrajectorySample:
-    x, y, z = state.fractions()
-    averages = None
-    if test_functions is not None:
-        vol = state.grid.cell_volume()
-        sus = (state.eta == SUSCEPTIBLE).astype(float)
-        inf = (state.eta == INFECTED).astype(float)
-        averages = vol * np.stack([test_functions @ sus, test_functions @ inf])
-    return TrajectorySample(t, x, y, z, state.events, averages)
+    event = _advance(state, state.time)  # every event reaches the current time
+    if event is None:
+        raise AbsorbedError("no infected sites left")
+    _advance(state, state.time, event)  # commits it and draws nothing
+    return EventRecord(state.time, event[1], event[2])
 
 
 def run_sampled(state: EpidemicState, sample_times: Sequence[float],
@@ -419,19 +420,16 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
             raise GridMismatchError("test functions not evaluated on this grid")
 
     out: list[TrajectorySample] = []
-    k = 0
-    while k < len(times):
-        try:
-            dt, kind, site, slot = _draw_event(state)
-        except AbsorbedError:
-            while k < len(times):
-                out.append(_snapshot(state, times[k], test_functions))
-                k += 1
-            return out
-        while k < len(times) and state.time + dt >= times[k]:
-            out.append(_snapshot(state, times[k], test_functions))
-            k += 1
-        _commit(state, dt, kind, site, slot)
+    event = None  # drawn but uncommitted: the first to reach the sample time
+    for t in times:
+        if event is None or state.time + event[0] < t:
+            event = _advance(state, t, event)
+        averages = None
+        if test_functions is not None:  # both pairings in one product
+            masks = np.stack([state.eta == SUSCEPTIBLE, state.eta == INFECTED])
+            averages = state.grid.cell_volume() * (masks.astype(float) @ test_functions.T)
+        out.append(TrajectorySample(t, *state.fractions(), state.events, averages))
+    _advance(state, times[-1], event)  # commits the event that crossed times[-1]
     return out
 
 
@@ -441,8 +439,7 @@ def run_to_absorption(state: EpidemicState) -> FinalState:
     Total work is bounded: each site is infected at most once and each
     infection recovers once, so the event count never exceeds 2 * n_sites.
     """
-    while state.n_inf > 0:
-        _commit(state, *_draw_event(state))
+    _advance(state, math.inf)
     return FinalState(state.n_sus / state.grid.n_sites, state.events, state.time)
 
 

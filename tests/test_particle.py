@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from epilattice import MeanField, TopHat, TorusGrid, WrappedBump, build_kernel
+from epilattice import MeanField, TopHat, TorusGrid, WrappedBump, build_kernel, particle
 from epilattice.errors import (
     AbsorbedError,
     CountOverflowError,
@@ -17,7 +17,7 @@ from epilattice.particle import (
     SUSCEPTIBLE,
     UNIFORM_BLOCK,
     EpidemicState,
-    _draw_event,
+    _advance,
     absorb_mean_field,
     gillespie_step,
     init_exact_counts,
@@ -183,7 +183,9 @@ def test_init_random_per_site_profile():
     assert list(state.eta) == [SUSCEPTIBLE, INFECTED, SUSCEPTIBLE, INFECTED]
 
 
-@pytest.mark.parametrize("rho0, rho1", [(-0.1, 0.5), (0.5, -0.1), (0.7, 0.4)])
+@pytest.mark.parametrize("rho0, rho1", [
+    (-0.1, 0.5), (0.5, -0.1), (0.7, 0.4),
+    (np.nan, 0.1), (0.5, np.array([0.1] * 9 + [np.nan]))])
 def test_init_random_rejects_bad_profile(rho0, rho1):
     kernel = build_kernel(TorusGrid(1, 10), MeanField())
     with pytest.raises(InvalidProfileError):
@@ -213,8 +215,10 @@ def test_init_exact_counts_overflow():
 
 def test_state_rejects_bad_eta_values():
     kernel = build_kernel(TorusGrid(1, 4), MeanField())
-    with pytest.raises(InvalidProfileError):
-        EpidemicState(kernel, 1.0, np.array([0, 1, 2, 0]), make_rng(0))
+    # out-of-range values must not be wrapped or truncated into range
+    for bad in ([0, 1, 2, 0], [0, 1, 257, 0], [0, 1, 255, 0], [0, 1, 0.5, 0]):
+        with pytest.raises(InvalidProfileError):
+            EpidemicState(kernel, 1.0, np.array(bad), make_rng(0))
     with pytest.raises(GridMismatchError):
         EpidemicState(kernel, 1.0, np.zeros(5, dtype=np.int8), make_rng(0))
     with pytest.raises(InvalidProfileError):
@@ -357,7 +361,7 @@ def test_slot_draw_matches_generator_integers(bit_generator, prefill):
                 expected = (dt, "recovery", twin.integers(n_inf))
             else:
                 expected = (dt, "infection", twin.integers(n_sus))
-            dt, kind, site, slot = _draw_event(state)
+            dt, kind, site, slot = _advance(state, state.time)  # uncommitted
             assert (dt, kind, slot) == expected and site == slot
     # both consumed the same raw words
     assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
@@ -492,6 +496,46 @@ def test_run_sampled_constant_test_function_recovers_fractions():
         assert abs(s.averages[1, 0] - s.y) < 1e-12
 
 
+@pytest.mark.parametrize("d, L", [(1, 300), (2, 18), (3, 7)])
+@pytest.mark.parametrize("spec", [MeanField(), TopHat(0.2)], ids=["mean-field", "thinning"])
+def test_run_sampled_matches_stepping_with_pairings(d, L, spec):
+    # reference: a same-seed twin stepped one event at a time, with a copy of
+    # eta taken before each step paired at every sample time that step
+    # crosses; 1e-12 covers only the order of the pairing sums
+    grid = TorusGrid(d, L)
+    kernel = build_kernel(grid, spec)
+    x = grid.positions()
+    funcs = np.stack([np.cos(2 * np.pi * x[:, 0]), np.sin(2 * np.pi * x.sum(axis=1)),
+                      np.cos(4 * np.pi * x[:, -1])])
+    times = [0.2, 0.2001, 1.0, 2.5, 60.0]  # 60 lies past absorption
+    sampled = init_random(kernel, 1.8, 0.85, 0.05, 29)
+    samples = run_sampled(sampled, times[:4], funcs)
+    stopped = _final_state(sampled)
+    samples += run_sampled(sampled, times[4:], funcs)
+
+    stepped = init_random(kernel, 1.8, 0.85, 0.05, 29)
+    expected, k, crossed = [], 0, None
+    while k < len(times):
+        eta, events = stepped.eta.copy(), stepped.events
+        absorbed = stepped.n_inf == 0
+        if not absorbed:
+            gillespie_step(stepped)
+        while k < len(times) and (absorbed or stepped.time >= times[k]):
+            expected.append((times[k], events, eta))
+            k += 1
+        if k == 4 and crossed is None:  # after the step crossing times[3]
+            crossed = _final_state(stepped)
+    assert crossed == stopped
+    assert absorbed and _final_state(sampled) == _final_state(stepped)
+    vol = grid.cell_volume()
+    for sample, (t, events, eta) in zip(samples, expected, strict=True):
+        assert (sample.t, sample.events) == (t, events)
+        counts = [int((eta == i).sum()) for i in (SUSCEPTIBLE, INFECTED, REMOVED)]
+        assert (sample.x, sample.y, sample.z) == tuple(c / grid.n_sites for c in counts)
+        pairings = vol * np.stack([funcs @ (eta == i) for i in (SUSCEPTIBLE, INFECTED)])
+        assert np.abs(sample.averages - pairings).max() <= 1e-12
+
+
 def test_run_sampled_rejects_mismatched_test_functions():
     state = _mean_field_state()
     with pytest.raises(GridMismatchError):
@@ -614,6 +658,23 @@ def test_absorb_mean_field_carries_across_blocks():
         assert final == _absorb_at_once(n, 2.0, n - 200, 200, make_rng(seed))
         # absorbed past the first block boundary, so the carry was used
         assert n - 200 - final[0] > UNIFORM_BLOCK
+
+
+@pytest.mark.parametrize("block", [97, 65_536])
+def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
+    # standard_exponential draws are sequential, so splitting the same stream
+    # into other blocks leaves every recovery run, and so the result, as it
+    # was; the cells are the critical benchmark's (beta, L) in d = 2
+    cells = [(L * L, beta, L * L - round(L**1.55), round(L**1.55))
+             for beta in (0.8, 2.0) for L in (100, 160)]
+
+    def finals():
+        return [absorb_mean_field(*cell, make_rng(seed)) for cell in cells
+                for seed in range(8)]
+
+    default = finals()
+    monkeypatch.setattr(particle, "UNIFORM_BLOCK", block)
+    assert finals() == default
 
 
 def test_absorb_mean_field_edge_cases():
