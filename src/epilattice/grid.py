@@ -30,12 +30,12 @@ import numpy as np
 
 from .errors import EmptySupportError, GridMismatchError, InvalidSpecError
 
-#: ``convolve`` sums directly only when ``support_size <= DIRECT_SUPPORT_MAX``
-#: and ``support_size * n_sites <= DIRECT_COST_MAX``: the cost bound is the
-#: measured crossover with the spectral path (ROADMAP.md), and it caps the
-#: int32 gather table at 80 KB.
-DIRECT_SUPPORT_MAX = 64
+#: ``convolve`` sums directly only when ``support_size * n_sites <=
+#: DIRECT_COST_MAX``: the measured crossover with the spectral path
+#: (ROADMAP.md), which also caps the gather table at 160 KB.
 DIRECT_COST_MAX = 20_000
+#: Selects no path; ``perfbench/tracing.py`` reads it to attribute bytes.
+DIRECT_SUPPORT_MAX = 64
 
 NORMALIZATION_TOL = 1e-12
 
@@ -211,12 +211,13 @@ class DiscreteKernel:
         return self._fft_cache
 
     def _gather(self) -> np.ndarray:
-        """(S, n_sites) int32 matrix; row s holds flat indices of x - z_s."""
+        """(S, n_sites) intp matrix (no per-call index conversion); row s
+        holds flat indices of x - z_s."""
         if self._gather_cache is None:
             base = np.arange(self.grid.n_sites).reshape(self.grid.shape)
             rows = [np.roll(base, shift=tuple(z), axis=tuple(range(self.grid.d))).ravel()
                     for z in self.offsets]
-            self._gather_cache = np.array(rows, dtype=np.int32)
+            self._gather_cache = np.array(rows, dtype=np.intp)
         return self._gather_cache
 
     @cached_property
@@ -292,10 +293,10 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
         kernel: a built kernel.
         field: array of shape ``kernel.grid.shape``.
         method: ``auto`` takes an exact shortcut for the mean-field kernel
-            (the spatial average), direct summation when ``support_size <=
-            DIRECT_SUPPORT_MAX`` and ``support_size * n_sites <=
-            DIRECT_COST_MAX``, and the spectral path otherwise; ``direct``
-            (over a support x sites gather table) and ``fft`` force a path.
+            (the spatial average), direct summation when ``support_size *
+            n_sites <= DIRECT_COST_MAX``, and the spectral path otherwise;
+            ``direct`` (over a support x sites gather table) and ``fft``
+            force a path.
 
     Returns:
         Array of the same shape as ``field``.
@@ -308,10 +309,11 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
 
     if method == "auto":
         if kernel.uniform:
-            # gamma^d * sum(f) is exactly the mean since gamma^d = 1/n_sites.
-            return np.full(grid.shape, field.mean())
+            # gamma^d * sum(f) is exactly the mean since gamma^d = 1/n_sites;
+            # sum / size is ``field.mean()`` bit for bit, minus its overhead.
+            return np.full(grid.shape, np.add.reduce(field, axis=None) / field.size)
         cheap = kernel.support_size * grid.n_sites <= DIRECT_COST_MAX
-        method = "direct" if cheap and kernel.support_size <= DIRECT_SUPPORT_MAX else "fft"
+        method = "direct" if cheap else "fft"
 
     if method == "direct":
         gathered = field.ravel()[kernel._gather()]

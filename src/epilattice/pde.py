@@ -102,20 +102,17 @@ class PdeRun(NamedTuple):
 
 def _deriv(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
            u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    infection = beta * convolve(kernel, u1) * u0
-    return -infection, infection - u1
+    """The infection flux beta * (K * u1) * u0 = -du0/dt, and du1/dt. The
+    stepper subtracts the flux: ``x - y`` is the float ``x + (-y)``."""
+    flux = beta * convolve(kernel, u1) * u0
+    return flux, flux - u1
 
 
 def _check_step(t: float, u0, u1, prev_u0, prev_v) -> np.ndarray:
     """Check the structural bounds of one step; returns v = u0 + u1."""
     v = u0 + u1
-    worst = max(
-        float(-u0.min()),
-        float(-u1.min()),
-        float((u0 - prev_u0).max()),
-        float((v - prev_v).max()),
-        float(v.max() - 1.0),
-    )
+    worst = max(-u0.min(), -u1.min(), (u0 - prev_u0).max(),
+                (v - prev_v).max(), v.max() - 1.0)
     if worst > STABILITY_TOL:
         raise StabilityViolationError(
             f"structural bound breached by {worst:.3e} at t = {t:.6g}")
@@ -162,13 +159,14 @@ def _run_from(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
         span = target - t
         n = max(1, math.ceil(span / dt - 1e-12))
         h = span / n
+        half, sixth = 0.5 * h, h / 6.0
         for _ in range(n):
-            a0, a1 = _deriv(kernel, beta, u0, u1)
-            b0, b1 = _deriv(kernel, beta, u0 + 0.5 * h * a0, u1 + 0.5 * h * a1)
-            c0, c1 = _deriv(kernel, beta, u0 + 0.5 * h * b0, u1 + 0.5 * h * b1)
-            d0, d1 = _deriv(kernel, beta, u0 + h * c0, u1 + h * c1)
-            u0 = u0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-            u1 = u1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            fa, a1 = _deriv(kernel, beta, u0, u1)
+            fb, b1 = _deriv(kernel, beta, u0 - half * fa, u1 + half * a1)
+            fc, c1 = _deriv(kernel, beta, u0 - half * fb, u1 + half * b1)
+            fd, d1 = _deriv(kernel, beta, u0 - h * fc, u1 + h * c1)
+            u0 = u0 - sixth * (fa + 2.0 * fb + 2.0 * fc + fd)
+            u1 = u1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             t += h
             prev_v = _check_step(t, u0, u1, prev_u0, prev_v)
             prev_u0 = u0

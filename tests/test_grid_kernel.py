@@ -19,7 +19,7 @@ from epilattice.errors import (
     GridMismatchError,
     InvalidSpecError,
 )
-from epilattice.grid import DIRECT_COST_MAX, DIRECT_SUPPORT_MAX
+from epilattice.grid import DIRECT_COST_MAX
 
 
 def conv_bruteforce(kernel, field):
@@ -217,8 +217,8 @@ def test_convolve_preserves_bounds():
 
 def test_direct_and_fft_paths_agree():
     rng = np.random.default_rng(17)
-    # forced direct always gathers, also for supports beyond
-    # DIRECT_SUPPORT_MAX (the bump and the d = 2 top-hat)
+    # forced direct always gathers, also beyond DIRECT_COST_MAX
+    # (the bump and the d = 2 and d = 3 top-hats)
     for g, spec in [(TorusGrid(1, 200), TopHat(0.05)),
                     (TorusGrid(1, 300), WrappedBump(0.45)),
                     (TorusGrid(2, 24), TopHat(0.3)),
@@ -235,14 +235,14 @@ def test_direct_and_fft_paths_agree():
     (TorusGrid(2, 14), TopHat(0.3), True),          # 57 x 196, a criterion-1 grid
     (TorusGrid(1, 400), TopHat(0.05), True),        # 41 x 400 = 16,400
     (TorusGrid(1, 500), TopHat(0.04), False),       # 41 x 500 = 20,500
-    (TorusGrid(2, 12), WrappedBump(0.45), False),   # 97 x 144, support > 64
+    (TorusGrid(2, 12), WrappedBump(0.45), True),    # 97 x 144, support > 64
     (TorusGrid(2, 100), TopHat(0.0425), False),     # 61 x 10^4
 ])
 def test_auto_path_follows_cost_rule(g, spec, direct):
     k = build_kernel(g, spec)
     cost = k.support_size * g.n_sites
-    assert direct == (k.support_size <= DIRECT_SUPPORT_MAX
-                      and cost <= DIRECT_COST_MAX)
+    # the support size alone never picks the spectral path
+    assert direct == (cost <= DIRECT_COST_MAX)
     f = np.random.default_rng(23).random(g.shape)
     auto = convolve(k, f)
     # the gather table exists only once the direct path has run

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from epilattice import MeanField, TopHat, TorusGrid, WrappedBump, build_kernel
+from epilattice import (
+    MeanField,
+    TopHat,
+    TorusGrid,
+    WrappedBump,
+    build_kernel,
+    convolve,
+)
 from epilattice.errors import (
     GridMismatchError,
     HorizonExceededError,
@@ -57,6 +64,32 @@ def test_sampling_contract():
         integrate_pde(k, 1.0, init, [1.0], dt=0.5)
     with pytest.raises(GridMismatchError):
         integrate_pde(build_kernel(TorusGrid(1, 8), MeanField()), 1.0, init, [1.0])
+
+
+def test_stepper_matches_plain_rk4_bitwise():
+    # the stepper subtracts the infection flux from u0; classic RK4 on the
+    # signed derivative must give the same floats
+    def deriv(k, beta, u0, u1):
+        infection = beta * convolve(k, u1) * u0
+        return -infection, infection - u1
+
+    for g, spec in [(TorusGrid(1, 30), TopHat(0.2)),
+                    (TorusGrid(2, 10), WrappedBump(0.45)),
+                    (TorusGrid(2, 9), MeanField())]:
+        k = build_kernel(g, spec)
+        init = rough_field(g)
+        run = integrate_pde(k, 2.3, init, [0.05, 0.3])
+        u0, u1 = init.u0, init.u1
+        for n, h in [(50, 0.05 / 50), (250, 0.25 / 250)]:
+            for _ in range(n):
+                a0, a1 = deriv(k, 2.3, u0, u1)
+                b0, b1 = deriv(k, 2.3, u0 + 0.5 * h * a0, u1 + 0.5 * h * a1)
+                c0, c1 = deriv(k, 2.3, u0 + 0.5 * h * b0, u1 + 0.5 * h * b1)
+                d0, d1 = deriv(k, 2.3, u0 + h * c0, u1 + h * c1)
+                u0 = u0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+                u1 = u1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        assert np.array_equal(run.u0[-1], u0)
+        assert np.array_equal(run.u1[-1], u1)
 
 
 def test_uniform_runs_reduce_to_planar_ode():
