@@ -10,6 +10,9 @@
 
 ``--seed`` and ``--out`` override the config's ``seed`` / ``out_dir``. Any
 manifest written by a previous run can be passed to ``--config`` directly.
+Each subcommand computes and prints; it returns its CSV tables and its
+``realized.*`` manifest entries, and ``main`` alone writes them, the tables
+first and then ``manifest.txt``, so a run that fails writes nothing.
 Exit codes: 0 success, 2 configuration/input problem, 3 numerical failure
 (instability, non-convergence, domain violations), 1 unexpected error (its
 traceback goes to stderr).
@@ -26,16 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_profile_pair
+from .config import ExperimentConfig, _parse_float, parse_profile_pair
 from .errors import ConfigError, IoError, NumericsError, SetupError
 from .experiments import (
+    FLOAT_FMT,
     RunManifest,
     run_critical_sweep,
     run_hydro_sweep,
     run_simulation,
-    write_critical_outputs,
     write_csv,
-    write_hydro_outputs,
     write_manifest,
 )
 from .final_density import infer_beta, infer_initial_infected, solve_final_density
@@ -61,57 +63,39 @@ def _build_model(config: ExperimentConfig):
     return grid, kernel
 
 
-def _profiles(config: ExperimentConfig, grid: TorusGrid):
-    return parse_profile_pair(grid, config.rho0, config.rho1)
-
-
 def _scalar(spec: str, key: str) -> float:
     """A profile spec that must be uniform (bare number or uniform:<v>)."""
     text = spec.strip()
     if text.lower().startswith("uniform:"):
         text = text.split(":", 1)[1]
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"{key}: this command needs a uniform value, got {spec!r}") from None
-
-
-def _finish(manifest: RunManifest, out_dir, started: float) -> None:
-    manifest.wall_seconds = time.perf_counter() - started
-    write_manifest(Path(out_dir) / "manifest.txt", manifest)
+    elif ":" in text:
+        raise ConfigError(f"{key}: this command needs a uniform value, got {spec!r}")
+    return _parse_float(key, text)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns ({file name: (header, rows)}, {realized key: text})
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_simulate(config: ExperimentConfig):
     output = run_simulation(config)
-    out = Path(config.out_dir)
+    tables = {}
     for replica, samples in enumerate(output.trajectories):
         name = ("trajectory.csv" if config.replicas == 1
                 else f"trajectory_r{replica}.csv")
-        write_csv(out / name, ["t", "x", "y", "z", "events"],
-                  [(s.t, s.x, s.y, s.z, s.events) for s in samples])
-    write_csv(out / "final.csv",
-              ["replica", "seed", "x_inf", "events", "wall_ms"], output.finals)
+        tables[name] = (["t", "x", "y", "z", "events"],
+                        [(s.t, s.x, s.y, s.z, s.events) for s in samples])
+    tables["final.csv"] = (["replica", "seed", "x_inf", "events", "wall_ms"],
+                           output.finals)
     for replica, seed, x_inf, events, _ in output.finals:
         print(f"replica {replica}: x_inf = {x_inf:.6f} after {events} events")
-    manifest = RunManifest("simulate", config)
-    manifest.extra["realized.events"] = str(sum(final[3] for final in output.finals))
-    manifest.extra["realized.attempts"] = str(sum(output.attempts))
-    _finish(manifest, out, started)
-    return 0
+    return tables, {"realized.events": str(sum(final[3] for final in output.finals)),
+                    "realized.attempts": str(sum(output.attempts))}
 
 
-def _cmd_pde(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_pde(config: ExperimentConfig):
     grid, kernel = _build_model(config)
-    rho0, rho1 = _profiles(config, grid)
+    rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
     init = DensityField(grid, rho0, rho1)
     times = np.linspace(0.0, config.t_end, config.samples)
     run = integrate_pde(kernel, config.beta, init, times, dt=config.dt)
@@ -127,40 +111,30 @@ def _cmd_pde(args) -> int:
                                       run.u0[k], run.u1[k])
         summary_rows.append((t, float(u0.mean()), float(u1.mean()),
                              float(np.abs(resid).max())))
-    out = Path(config.out_dir)
-    write_csv(out / "pde_fields.csv", ["t", "site_index", "u0", "u1"], field_rows)
-    write_csv(out / "pde_summary.csv",
-              ["t", "mean_u0", "mean_u1", "max_resid_exp_identity"], summary_rows)
     last = summary_rows[-1]
     print(f"t = {last[0]:g}: mean_u0 = {last[1]:.6f}, mean_u1 = {last[2]:.6f}, "
           f"max identity residual = {last[3]:.3e}")
-    _finish(RunManifest("pde", config), out, started)
-    return 0
+    return {"pde_fields.csv": (["t", "site_index", "u0", "u1"], field_rows),
+            "pde_summary.csv": (["t", "mean_u0", "mean_u1", "max_resid_exp_identity"],
+                                summary_rows)}, {}
 
 
-def _cmd_final(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_final(config: ExperimentConfig):
     grid, kernel = _build_model(config)
-    rho0, rho1 = _profiles(config, grid)
+    rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
     result = solve_final_density(kernel, config.beta,
                                  DensityField(grid, rho0, rho1), tol=config.tol)
     rho = result.rho.ravel()
-    out = Path(config.out_dir)
-    write_csv(out / "final_density.csv",
-              ["site_index", "rho0", "rho1", "rho_final"],
-              [(site, rho0.ravel()[site], rho1.ravel()[site], rho[site])
-               for site in range(grid.n_sites)])
     print(f"converged in {result.iterations} iterations "
           f"(last update {result.residual:.3e}); "
           f"mean rho_final = {rho.mean():.6f}")
-    _finish(RunManifest("final", config), out, started)
-    return 0
+    rows = [(site, rho0.ravel()[site], rho1.ravel()[site], rho[site])
+            for site in range(grid.n_sites)]
+    return {"final_density.csv": (["site_index", "rho0", "rho1", "rho_final"],
+                                  rows)}, {}
 
 
-def _cmd_meanfield(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_meanfield(config: ExperimentConfig):
     rho0 = _scalar(config.rho0, "rho0")
     rho1 = _scalar(config.rho1, "rho1")
     rows = []
@@ -177,11 +151,7 @@ def _cmd_meanfield(args) -> int:
     for row in rows:
         print(",".join("%.17g" % c if isinstance(c, float) else str(c)
                        for c in row))
-    if args.out is not None:
-        out = Path(config.out_dir)
-        write_csv(out / "meanfield.csv", header, rows)
-        _finish(RunManifest("meanfield", config), out, started)
-    return 0
+    return {"meanfield.csv": (header, rows)}, {}
 
 
 def _read_final_csv(path, grid: TorusGrid):
@@ -203,59 +173,51 @@ def _read_final_csv(path, grid: TorusGrid):
             data["rho_final"][order].reshape(grid.shape))
 
 
-def _cmd_infer(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_infer(config: ExperimentConfig):
     if not config.input:
         raise ConfigError("infer needs input = <final-density csv> in the config")
     grid, kernel = _build_model(config)
     rho0, rho1, rho = _read_final_csv(config.input, grid)
-    out = Path(config.out_dir)
+    tables = {}
     if config.mode in ("beta", "both"):
         region = rho0 >= 1.0 - 1e-12
         estimate = infer_beta(kernel, rho, region)
-        write_csv(out / "inferred_beta.csv", ["site_index", "beta_site"],
-                  [(site, estimate.per_site.ravel()[site])
-                   for site in range(grid.n_sites)])
+        tables["inferred_beta.csv"] = (
+            ["site_index", "beta_site"],
+            [(site, estimate.per_site.ravel()[site]) for site in range(grid.n_sites)])
         print(f"beta_estimate = {estimate.estimate:.12g} "
               f"(spread {estimate.spread:.3e} over {estimate.n_used} sites)")
     if config.mode in ("initial", "both"):
         recovered = infer_initial_infected(kernel, config.beta, rho)
         r0 = recovered.u0.ravel()
         r1 = recovered.u1.ravel()
-        write_csv(out / "inferred_initial.csv", ["site_index", "rho0", "rho1"],
-                  [(site, r0[site], r1[site]) for site in range(grid.n_sites)])
+        tables["inferred_initial.csv"] = (
+            ["site_index", "rho0", "rho1"],
+            [(site, r0[site], r1[site]) for site in range(grid.n_sites)])
         print(f"recovered initial split: mean rho0 = {r0.mean():.6f}, "
               f"mean rho1 = {r1.mean():.6f}")
-    _finish(RunManifest("infer", config), out, started)
-    return 0
+    return tables, {}
 
 
-def _cmd_hydro_sweep(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_hydro_sweep(config: ExperimentConfig):
     result = run_hydro_sweep(config)
-    manifest = RunManifest("hydro-sweep", config)
-    manifest.wall_seconds = time.perf_counter() - started
-    write_hydro_outputs(result, manifest, config.out_dir)
     for L, gamma, med0, _, _, med1, _, _ in result.summary:
         print(f"L = {L:>6}: median err_i0 = {med0:.5f}, err_i1 = {med1:.5f}")
     print(f"log-log slope of combined medians: {result.slope:.3f}")
-    return 0
+    return result.tables(), {"realized.loglog_slope": FLOAT_FMT % result.slope}
 
 
-def _cmd_critical_sweep(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args)
+def _cmd_critical_sweep(config: ExperimentConfig):
     result = run_critical_sweep(config)
-    manifest = RunManifest("critical-sweep", config)
-    manifest.wall_seconds = time.perf_counter() - started
-    write_critical_outputs(result, manifest, config.out_dir)
     for beta, alpha, L, n_inf, median, mean, std, target in result.summary:
         print(f"beta = {beta:g}, L = {L:>6} (seeded {n_inf}): "
               f"median x_inf = {median:.4f}, mean = {mean:.4f} "
               f"+/- {std:.4f}, target = {target:.5f}")
-    return 0
+    realized = {"realized.events": str(result.events)}
+    for L, n_inf in sorted(result.realized.items()):
+        realized[f"realized.L{L}.n_infected"] = str(n_inf)
+        realized[f"realized.L{L}.fraction"] = FLOAT_FMT % (n_inf / L ** config.d)
+    return result.tables(), realized
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        config = _load_config(args)
+        tables, realized = args.func(config)
+        if args.command == "meanfield" and args.out is None:
+            return 0  # the table went to stdout only
+        out = Path(config.out_dir)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        write_manifest(out / "manifest.txt", RunManifest(
+            args.command, config, realized, time.perf_counter() - started))
+        return 0
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

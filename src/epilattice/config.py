@@ -80,6 +80,26 @@ def _parse_list(key: str, text: str, item) -> tuple:
     return tuple(item(key, p) for p in parts)
 
 
+#: Value parsers keyed by a field's annotation (a string, as annotations
+#: are postponed in this module).
+_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "str": lambda key, text: text,
+    "tuple[int, ...]": lambda key, text: _parse_list(key, text, _parse_int),
+    "tuple[float, ...]": lambda key, text: _parse_list(key, text, _parse_float),
+}
+
+#: Config keys that name a list field by its single-value accessor.
+_ALIASES = {"L": "L_values", "beta": "betas"}
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 # ---------------------------------------------------------------------------
 # the configuration record
 # ---------------------------------------------------------------------------
@@ -168,28 +188,19 @@ class ExperimentConfig:
         """Build from parsed key/value strings; unknown keys are errors.
 
         A manifest (keys prefixed ``config.``) is accepted transparently:
-        the prefixed subset is extracted and everything else ignored.
+        the prefixed subset is extracted and everything else ignored. Each
+        value is parsed by its field's annotation.
         """
         if any(k.startswith(_MANIFEST_PREFIX) for k in items):
             items = {k[len(_MANIFEST_PREFIX):]: v for k, v in items.items()
                      if k.startswith(_MANIFEST_PREFIX)}
-        known = {f.name for f in fields(cls)}
-        aliases = {"L": "L_values", "beta": "betas"}
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, text in items.items():
-            name = aliases.get(key, key)
-            if name not in known:
+            name = _ALIASES.get(key, key)
+            if name not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            if name in ("d", "replicas", "seed", "samples"):
-                kwargs[name] = _parse_int(key, text)
-            elif name in ("alpha", "t_end", "dt", "tol"):
-                kwargs[name] = _parse_float(key, text)
-            elif name == "L_values":
-                kwargs[name] = _parse_list(key, text, _parse_int)
-            elif name == "betas":
-                kwargs[name] = _parse_list(key, text, _parse_float)
-            else:
-                kwargs[name] = text
+            kwargs[name] = _PARSERS[types[name]](key, text)
         return cls(**kwargs)
 
     @classmethod
@@ -202,26 +213,9 @@ class ExperimentConfig:
 
     def as_items(self) -> dict[str, str]:
         """Round-trippable flat representation (config keys, not manifest)."""
-        return {
-            "d": str(self.d),
-            "L": ", ".join(str(v) for v in self.L_values),
-            "kernel": self.kernel,
-            "beta": ", ".join(repr(b) for b in self.betas),
-            "rho0": self.rho0,
-            "rho1": self.rho1,
-            "alpha": repr(self.alpha),
-            "replicas": str(self.replicas),
-            "seed": str(self.seed),
-            "t_end": repr(self.t_end),
-            "samples": str(self.samples),
-            "dt": repr(self.dt),
-            "tol": repr(self.tol),
-            "init": self.init,
-            "test_functions": self.test_functions,
-            "input": self.input,
-            "mode": self.mode,
-            "out_dir": self.out_dir,
-        }
+        keys = {name: key for key, name in _ALIASES.items()}
+        return {keys.get(f.name, f.name): _format(getattr(self, f.name))
+                for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +234,12 @@ def parse_profile(grid: TorusGrid, spec: str, key: str = "profile") -> np.ndarra
     spec = spec.strip()
     if ":" not in spec:
         try:
-            return np.full(grid.shape, float(spec))
+            float(spec)
         except ValueError:
             raise ConfigError(
                 f"{key}: expected a number, uniform:<v> or "
                 f"bump:<height>,<halfwidth>[,<center...>]; got {spec!r}") from None
+        return np.full(grid.shape, _parse_float(key, spec))
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "uniform":

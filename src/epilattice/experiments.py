@@ -17,8 +17,9 @@ Two experiment families are automated here:
 Every replica draws its generator from a seed derived deterministically
 from (master seed, job position, L, replica index), so sweeps are
 reproducible replica-by-replica and streams never collide across jobs.
-Results are plain rows; ``write_*`` functions put them on disk with floats
-at 17 significant digits, alongside a ``manifest.txt`` that echoes the
+Results are plain rows; a sweep result's ``tables()`` names its CSV files and
+their columns. ``write_csv`` puts tables on disk with floats at 17
+significant digits, and ``write_manifest`` a ``manifest.txt`` that echoes the
 configuration (re-runnable as-is) plus realized quantities.
 """
 from __future__ import annotations
@@ -114,41 +115,26 @@ def write_manifest(path: Path, manifest: RunManifest) -> None:
 # linearized early-time benchmark
 # ---------------------------------------------------------------------------
 
-class LinearizedTrajectory:
+def linearized_trajectory(beta: float, alpha: float, gamma: float, t):
     """Closed-form small-infection approximation with growth rate beta - 1.
 
     y(t) = gamma^alpha e^{(beta-1)t} and the matching x(t) integrate the
     constant-susceptible-density approximation of the dynamics; t_c is the
     time at which the approximated infected mass reaches order one.
+    Returns (x, y, t_c) at time(s) t.
     """
-
-    def __init__(self, beta: float, alpha: float, gamma: float):
-        if beta == 1.0:
-            raise DomainError("linearized trajectory undefined at beta = 1")
-        if not 0 < gamma <= 1:
-            raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-        if alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
-        self.beta = float(beta)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.seed_fraction = gamma ** alpha
-        self.t_c = alpha / (beta - 1.0) * math.log(1.0 / gamma)
-
-    def y(self, t):
-        return self.seed_fraction * np.exp((self.beta - 1.0) * np.asarray(t, dtype=float))
-
-    def x(self, t):
-        growth = np.exp((self.beta - 1.0) * np.asarray(t, dtype=float))
-        b = self.beta
-        return 1.0 - b / (b - 1.0) * self.seed_fraction * growth \
-            + self.seed_fraction / (b - 1.0)
-
-
-def linearized_trajectory(beta: float, alpha: float, gamma: float, t):
-    """Evaluate the linearized pair at time(s) t; returns (x, y, t_c)."""
-    lin = LinearizedTrajectory(beta, alpha, gamma)
-    return lin.x(t), lin.y(t), lin.t_c
+    if beta == 1.0:
+        raise DomainError("linearized trajectory undefined at beta = 1")
+    if not 0 < gamma <= 1:
+        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    if alpha <= 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    b = float(beta)
+    seed_fraction = gamma ** alpha
+    t_c = alpha / (beta - 1.0) * math.log(1.0 / gamma)
+    growth = np.exp((b - 1.0) * np.asarray(t, dtype=float))
+    x = 1.0 - b / (b - 1.0) * seed_fraction * growth + seed_fraction / (b - 1.0)
+    return x, seed_fraction * growth, t_c
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +184,15 @@ class HydroResult:
     summary: list[tuple]           # (L, gamma, median/q25/q75 for i0 and i1)
     medians: dict[int, float]      # L -> median over replicas of max(err_i0, err_i1)
     slope: float                   # log-log fit of the combined medians vs L
+
+    def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
+        return {
+            "hydro_convergence.csv": (["L", "gamma", "replica", "err_i0", "err_i1"],
+                                      self.rows),
+            "hydro_summary.csv": (["L", "gamma", "median_err_i0", "q25_err_i0",
+                                   "q75_err_i0", "median_err_i1", "q25_err_i1",
+                                   "q75_err_i1"], self.summary),
+        }
 
 
 def run_hydro_sweep(config: ExperimentConfig) -> HydroResult:
@@ -253,23 +248,6 @@ def run_hydro_sweep(config: ExperimentConfig) -> HydroResult:
     return HydroResult(rows, summary, medians, slope)
 
 
-def write_hydro_outputs(result: HydroResult, manifest: RunManifest,
-                        out_dir) -> list[Path]:
-    out = Path(out_dir)
-    per_replica = out / "hydro_convergence.csv"
-    write_csv(per_replica, ["L", "gamma", "replica", "err_i0", "err_i1"],
-              result.rows)
-    summary = out / "hydro_summary.csv"
-    write_csv(summary,
-              ["L", "gamma", "median_err_i0", "q25_err_i0", "q75_err_i0",
-               "median_err_i1", "q25_err_i1", "q75_err_i1"],
-              result.summary)
-    manifest.extra["realized.loglog_slope"] = FLOAT_FMT % result.slope
-    manifest_path = out / "manifest.txt"
-    write_manifest(manifest_path, manifest)
-    return [per_replica, summary, manifest_path]
-
-
 # ---------------------------------------------------------------------------
 # critical-threshold sweep
 # ---------------------------------------------------------------------------
@@ -283,6 +261,15 @@ class CriticalResult:
     realized: dict[int, int]  # L -> initial infected count
     events: int           # committed events over all replicas, counted on the
                           # absorption chain: as many as particle runs commit
+
+    def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
+        return {
+            "critical.csv": (["beta", "alpha", "L", "replica", "seed", "x_inf",
+                              "target"], self.rows),
+            "critical_summary.csv": (["beta", "alpha", "L", "n_infected",
+                                      "median_x_inf", "mean_x_inf", "std_x_inf",
+                                      "target"], self.summary),
+        }
 
 
 def seeded_infected_count(L: int, d: int, alpha: float) -> int:
@@ -331,27 +318,6 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     return CriticalResult(rows, summary, realized, events)
 
 
-def write_critical_outputs(result: CriticalResult, manifest: RunManifest,
-                           out_dir) -> list[Path]:
-    out = Path(out_dir)
-    per_replica = out / "critical.csv"
-    write_csv(per_replica,
-              ["beta", "alpha", "L", "replica", "seed", "x_inf", "target"],
-              result.rows)
-    summary = out / "critical_summary.csv"
-    write_csv(summary,
-              ["beta", "alpha", "L", "n_infected", "median_x_inf",
-               "mean_x_inf", "std_x_inf", "target"],
-              result.summary)
-    manifest.extra["realized.events"] = str(result.events)
-    for L, n_inf in sorted(result.realized.items()):
-        manifest.extra[f"realized.L{L}.n_infected"] = str(n_inf)
-        manifest.extra[f"realized.L{L}.fraction"] = FLOAT_FMT % (n_inf / L ** manifest.config.d)
-    manifest_path = out / "manifest.txt"
-    write_manifest(manifest_path, manifest)
-    return [per_replica, summary, manifest_path]
-
-
 # ---------------------------------------------------------------------------
 # single-model runs used by the command layer
 # ---------------------------------------------------------------------------
@@ -368,6 +334,19 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
     grid = TorusGrid(config.d, config.L)
     kernel = build_kernel(grid, parse_kernel_spec(config.kernel))
     sample_times = np.linspace(0.0, config.t_end, config.samples)
+    if config.init == "random":
+        rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
+    elif config.init.startswith("exact:"):
+        parts = config.init[len("exact:"):].split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"init: expected exact:<n_sus>,<n_inf>, got {config.init!r}")
+        try:
+            n_sus, n_inf = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ConfigError(f"init: bad counts in {config.init!r}") from None
+    else:
+        raise ConfigError(
+            f"init: expected random | exact:<n_sus>,<n_inf>, got {config.init!r}")
     trajectories = []
     finals = []
     attempts = []
@@ -375,21 +354,9 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
         seed = derive_seed(config.seed, config.L, replica)
         rng = make_rng(seed)
         start = time.perf_counter()
-        if config.init == "random":
-            rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
-            state = init_random(kernel, config.beta, rho0, rho1, rng)
-        elif config.init.startswith("exact:"):
-            parts = config.init[len("exact:"):].split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"init: expected exact:<n_sus>,<n_inf>, got {config.init!r}")
-            try:
-                n_sus, n_inf = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"init: bad counts in {config.init!r}") from None
-            state = init_exact_counts(kernel, config.beta, n_sus, n_inf, rng)
-        else:
-            raise ConfigError(
-                f"init: expected random | exact:<n_sus>,<n_inf>, got {config.init!r}")
+        state = (init_random(kernel, config.beta, rho0, rho1, rng)
+                 if config.init == "random"
+                 else init_exact_counts(kernel, config.beta, n_sus, n_inf, rng))
         trajectories.append(run_sampled(state, sample_times))
         if state.n_inf > 0:
             run_to_absorption(state)

@@ -42,7 +42,8 @@ class MeanFieldParams:
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise InvalidProfileError(f"beta must be positive, got {self.beta}")
-        if self.rho0 < 0.0 or self.rho1 < 0.0 or self.rho0 + self.rho1 > 1.0:
+        # written so that a NaN, which fails every comparison, is rejected too
+        if not (self.rho0 >= 0.0 and self.rho1 >= 0.0 and self.rho0 + self.rho1 <= 1.0):
             raise InvalidProfileError(
                 f"need rho0, rho1 >= 0 and rho0 + rho1 <= 1, got "
                 f"({self.rho0}, {self.rho1})")

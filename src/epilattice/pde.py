@@ -60,9 +60,10 @@ class DensityField:
             raise GridMismatchError(
                 f"profile shapes {self.u0.shape}/{self.u1.shape} do not match "
                 f"grid {self.grid.shape}")
-        if self.u0.min() < 0.0 or self.u1.min() < 0.0:
-            raise InvalidProfileError("densities must be nonnegative")
-        if (self.u0 + self.u1).max() > 1.0 + 1e-12:
+        # written so that a NaN, which fails every comparison, is rejected too
+        if not (self.u0.min() >= 0.0 and self.u1.min() >= 0.0):
+            raise InvalidProfileError("densities must be finite and nonnegative")
+        if not (self.u0 + self.u1).max() <= 1.0 + 1e-12:
             raise InvalidProfileError("u0 + u1 must not exceed 1")
 
 

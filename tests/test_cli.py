@@ -153,6 +153,16 @@ def test_meanfield_rejects_spatial_profile(tmp_path):
     assert main(["meanfield", "--config", config]) == 2
 
 
+@pytest.mark.parametrize("command", ["meanfield", "pde", "final"])
+def test_nan_profile_is_a_config_error(tmp_path, capsys, command):
+    config = _write_config(tmp_path, "nan.txt", L=16, beta=2.0, rho0="nan",
+                           rho1=0.01)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert "rho0: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_meanfield_writes_file_with_out(tmp_path):
     config = _write_config(tmp_path, "mf.txt", beta=2.0, rho0=0.9, rho1=0.1)
     out = tmp_path / "mf"
@@ -265,7 +275,7 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_code_unexpected_error_prints_traceback(monkeypatch, capsys):
-    def boom(args):
+    def boom(config):
         raise RuntimeError("kaboom")
     monkeypatch.setitem(cli._COMMANDS, "meanfield", (boom, False))
     assert main(["meanfield"]) == 1
@@ -273,6 +283,23 @@ def test_exit_code_unexpected_error_prints_traceback(monkeypatch, capsys):
     assert "Traceback (most recent call last)" in err
     assert "in boom" in err
     assert "unexpected error: RuntimeError: kaboom" in err
+
+
+def test_failed_command_writes_nothing(tmp_path, capsys):
+    # every site starts fully susceptible: beta is recoverable, but no site
+    # carries an infected share from which to recover the initial split
+    csv = tmp_path / "in.csv"
+    csv.write_text("site_index,rho0,rho1,rho_final\n"
+                   + "".join(f"{site},1,0,0.5\n" for site in range(16)))
+    config = _write_config(tmp_path, "inf.txt", d=1, L=16, kernel="tophat:0.2",
+                           beta=2.0, mode="both", input=str(csv))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["infer", "--config", config, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "beta_estimate" in captured.out
+    assert "numerical failure" in captured.err
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_subcommand_is_usage_error():

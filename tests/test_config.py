@@ -1,4 +1,6 @@
 """Flat config parsing, validation, and profile spec evaluation."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ def test_manifest_prefix_extraction():
         ExperimentConfig.from_items({"config.bogus": "1"})
 
 
+def test_readme_key_table_matches_defaults():
+    # the README's configuration table is the one hand-kept copy of the keys
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().split("| key | default | meaning |\n|---|---|---|\n", 1)[1]
+    documented = {}
+    for line in lines.splitlines():
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        documented[key] = default
+    assert documented == ExperimentConfig().as_items()
+
+
 def test_from_file_missing(tmp_path):
     with pytest.raises(IoError, match="cannot read config"):
         ExperimentConfig.from_file(tmp_path / "nope.txt")
@@ -153,7 +168,8 @@ def test_profile_bump_2d_center_dims():
         parse_profile(grid, "bump:0.5,0.3,0.5")
 
 
-@pytest.mark.parametrize("bad", ["three", "swirl:1", "bump:0.5", "uniform:x"])
+@pytest.mark.parametrize("bad", ["three", "swirl:1", "bump:0.5", "uniform:x",
+                                 "nan", "inf"])
 def test_profile_errors(bad):
     with pytest.raises(ConfigError):
         parse_profile(TorusGrid(1, 8), bad)

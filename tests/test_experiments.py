@@ -18,9 +18,7 @@ from epilattice.experiments import (
     run_hydro_sweep,
     run_simulation,
     seeded_infected_count,
-    write_critical_outputs,
     write_csv,
-    write_hydro_outputs,
 )
 from epilattice.meanfield import hat_x_infinity
 from epilattice.particle import init_exact_counts, run_sampled
@@ -263,17 +261,15 @@ def test_write_csv_empty_rows(tmp_path):
 
 
 def test_write_outputs_empty_results(tmp_path):
-    config = ExperimentConfig()
-    hydro_dir = tmp_path / "h"
-    write_hydro_outputs(HydroResult([], [], {}, float("nan")),
-                        RunManifest("hydro-sweep", config), hydro_dir)
-    assert (hydro_dir / "manifest.txt").exists()
-    assert (hydro_dir / "hydro_convergence.csv").read_text() == \
+    hydro = HydroResult([], [], {}, float("nan")).tables()
+    critical = CriticalResult([], [], {}, 0).tables()
+    assert list(hydro) == ["hydro_convergence.csv", "hydro_summary.csv"]
+    assert list(critical) == ["critical.csv", "critical_summary.csv"]
+    for name, (header, rows) in {**hydro, **critical}.items():
+        write_csv(tmp_path / name, header, rows)
+    assert (tmp_path / "hydro_convergence.csv").read_text() == \
         "L,gamma,replica,err_i0,err_i1\n"
-    crit_dir = tmp_path / "c"
-    write_critical_outputs(CriticalResult([], [], {}, 0),
-                           RunManifest("critical-sweep", config), crit_dir)
-    assert (crit_dir / "critical.csv").read_text() == \
+    assert (tmp_path / "critical.csv").read_text() == \
         "beta,alpha,L,replica,seed,x_inf,target\n"
 
 

@@ -50,6 +50,9 @@ def test_params_validation():
         MeanFieldParams(1.0, 0.7, 0.4)
     with pytest.raises(InvalidProfileError):
         MeanFieldParams(1.0, -0.1, 0.2)
+    for rho0, rho1 in ((math.nan, 0.1), (0.5, math.nan)):
+        with pytest.raises(InvalidProfileError):
+            MeanFieldParams(2.0, rho0, rho1)
 
 
 def test_ode_conserves_total_mass():

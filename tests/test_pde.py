@@ -47,6 +47,11 @@ def test_profile_validation():
         DensityField(g, np.full(g.shape, -0.1), np.zeros(g.shape))
     with pytest.raises(InvalidProfileError):
         DensityField(g, np.full(g.shape, 0.7), np.full(g.shape, 0.4))
+    for bad in (np.full(g.shape, np.nan), np.r_[np.zeros(15), np.nan]):
+        with pytest.raises(InvalidProfileError):
+            DensityField(g, bad, np.zeros(g.shape))
+        with pytest.raises(InvalidProfileError):
+            DensityField(g, np.zeros(g.shape), bad)
     with pytest.raises(GridMismatchError):
         DensityField(g, np.zeros(17), np.zeros(17))
 
