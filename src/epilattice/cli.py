@@ -131,7 +131,9 @@ def _cmd_final(config: ExperimentConfig):
     rows = [(site, rho0.ravel()[site], rho1.ravel()[site], rho[site])
             for site in range(grid.n_sites)]
     return {"final_density.csv": (["site_index", "rho0", "rho1", "rho_final"],
-                                  rows)}, {}
+                                  rows)}, {
+        "realized.final_density.iterations": str(result.iterations),
+        "realized.final_density.residual": FLOAT_FMT % result.residual}
 
 
 def _cmd_meanfield(config: ExperimentConfig):

@@ -189,7 +189,8 @@ class ExperimentConfig:
 
         A manifest (keys prefixed ``config.``) is accepted transparently:
         the prefixed subset is extracted and everything else ignored. Each
-        value is parsed by its field's annotation.
+        value is parsed by its field's annotation; setting one field twice,
+        by its key and its alias (``L`` and ``L_values``), is an error.
         """
         if any(k.startswith(_MANIFEST_PREFIX) for k in items):
             items = {k[len(_MANIFEST_PREFIX):]: v for k, v in items.items()
@@ -200,6 +201,8 @@ class ExperimentConfig:
             name = _ALIASES.get(key, key)
             if name not in types:
                 raise ConfigError(f"unknown config key {key!r}")
+            if name in kwargs:
+                raise ConfigError(f"duplicate key {key!r}: {name!r} is already set")
             kwargs[name] = _PARSERS[types[name]](key, text)
         return cls(**kwargs)
 

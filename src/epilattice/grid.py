@@ -206,8 +206,9 @@ class DiscreteKernel:
     # -- cached machinery for convolve and the particle thinning sampler ----
 
     def _fft(self) -> np.ndarray:
+        """gamma^d * DFT(dense), the eigenvalues of ``convolve``'s operator."""
         if self._fft_cache is None:
-            self._fft_cache = np.fft.rfftn(self.dense)
+            self._fft_cache = self.grid.cell_volume() * np.fft.rfftn(self.dense)
         return self._fft_cache
 
     def _gather(self) -> np.ndarray:
@@ -323,6 +324,6 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
     if method == "fft":
         axes = tuple(range(grid.d))
         spectral = np.fft.rfftn(field, axes=axes) * kernel._fft()
-        return grid.cell_volume() * np.fft.irfftn(spectral, s=grid.shape, axes=axes)
+        return np.fft.irfftn(spectral, s=grid.shape, axes=axes)
 
     raise ValueError(f"unknown convolve method {method!r}")

@@ -4,6 +4,7 @@ import pytest
 
 from epilattice import cli
 from epilattice.cli import main
+from epilattice.config import parse_kv_text
 
 
 def _write_config(tmp_path, name, **items):
@@ -98,6 +99,9 @@ def test_final_and_infer_round_trip(tmp_path, capsys):
     lines = (fin_out / "final_density.csv").read_text().splitlines()
     assert lines[0] == "site_index,rho0,rho1,rho_final"
     assert len(lines) == 65
+    manifest = parse_kv_text((fin_out / "manifest.txt").read_text())
+    assert int(manifest["realized.final_density.iterations"]) > 0
+    assert 0.0 <= float(manifest["realized.final_density.residual"]) < 1e-13
 
     infer_config = _write_config(tmp_path, "inf.txt", d=1, L=64,
                                  kernel="tophat:0.12", beta=1.7,

@@ -94,6 +94,14 @@ def test_validation_errors(items, match):
         ExperimentConfig.from_items(items)
 
 
+@pytest.mark.parametrize("text", ["L = 10\nL_values = 20\n",
+                                  "betas = 2.0, 3.0\nbeta = 1.5\n"])
+def test_from_items_rejects_key_with_its_alias(text):
+    # each key is unique, so parse_kv_text passes; both lines set one field
+    with pytest.raises(ConfigError, match="duplicate key"):
+        ExperimentConfig.from_items(parse_kv_text(text))
+
+
 def test_round_trip_through_items():
     config = ExperimentConfig(d=2, L_values=(16, 64), betas=(0.1, 2.5e-3),
                               rho0="bump:0.8,0.3", rho1="complement",

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from epilattice import MeanField, TopHat, TorusGrid, build_kernel
+from epilattice import MeanField, TopHat, TorusGrid, WrappedBump, build_kernel, convolve
 from epilattice.errors import (
     DegenerateSiteError,
     GridMismatchError,
@@ -16,6 +16,7 @@ from epilattice.final_density import (
     infer_initial_infected,
     solve_final_density,
 )
+from epilattice.meanfield import final_size
 from epilattice.pde import DensityField, cosine_bump, long_time_limit, uniform_field
 
 
@@ -36,6 +37,8 @@ def test_uniform_meanfield_matches_planar_final_size():
         res = solve_final_density(k, beta, uniform_field(g, r0, r1))
         assert np.abs(res.rho - expected).max() <= 1e-8
         assert res.residual <= 1e-10
+        tight = solve_final_density(k, beta, uniform_field(g, r0, r1), tol=1e-14)
+        assert np.abs(tight.rho - final_size(beta, r0, r1)).max() <= 1e-12
 
 
 def test_no_initial_infecteds_subcritical_regime():
@@ -78,6 +81,42 @@ def test_agrees_with_pde_long_time_nonuniform():
         lt = long_time_limit(k, beta, init, u1_tol=1e-8)
         fp = solve_final_density(k, beta, init, tol=1e-10)
         assert np.abs(fp.rho - lt.u0).max() <= 1e-7
+
+
+def _plain_iteration(kernel, beta, init, tol):
+    """Reference: the unrelaxed map from the lower bound, stopped alike."""
+    conv_mass = convolve(kernel, init.u0 + init.u1)
+    rho = init.u0 * np.exp(-beta * conv_mass)
+    for iteration in range(1, 100_001):
+        new = init.u0 * np.exp(-beta * (conv_mass - convolve(kernel, rho)))
+        update = np.abs(new - rho).max()
+        rho = new
+        if update < tol:
+            return rho, iteration
+    raise AssertionError("plain reference did not converge")
+
+
+def _plateau(g, radius, level):
+    """rho0 = 1 on a centred disk, ``level`` elsewhere; rho1 = 1 - rho0."""
+    delta = np.abs(g.positions() - 0.5)
+    dist = np.hypot.reduce(np.minimum(delta, 1.0 - delta), axis=1)
+    rho0 = np.where((dist < radius).reshape(g.shape), 1.0, level)
+    return DensityField(g, rho0, 1.0 - rho0)
+
+
+@pytest.mark.parametrize("g, spec, beta, radius, level, slow", [
+    (TorusGrid(2, 32), WrappedBump(0.15), 1.5, 0.25, 0.3, False),  # FFT path
+    (TorusGrid(1, 200), TopHat(0.05), 1.02, 0.3, 0.2, True),       # beta ~ 1
+])
+def test_relaxed_solve_matches_plain_iteration(g, spec, beta, radius, level, slow):
+    k = build_kernel(g, spec)
+    init = _plateau(g, radius, level)
+    reference, plain_iterations = _plain_iteration(k, beta, init, 1e-14)
+    res = solve_final_density(k, beta, init, tol=1e-14)
+    assert np.abs(res.rho - reference).max() <= 1e-12
+    assert res.residual < 1e-14
+    if slow:
+        assert res.iterations < plain_iterations
 
 
 def test_no_convergence_at_critical_double_root():

@@ -253,6 +253,19 @@ def test_auto_path_follows_cost_rule(g, spec, direct):
         assert np.abs(out - auto).max() <= 1e-12
 
 
+def test_cached_spectrum_is_the_operator_spectrum():
+    # the final-density solver reads K's smallest eigenvalue off _fft()
+    g = TorusGrid(2, 12)
+    k = build_kernel(g, WrappedBump(0.3))
+    sites = np.indices(g.shape).reshape(g.d, -1).T
+    residues = (sites[:, None, :] - sites[None, :, :]) % g.L
+    circulant = g.cell_volume() * k.dense[residues[..., 0], residues[..., 1]]
+    spectrum = k._fft()
+    assert np.abs(spectrum.imag).max() <= 1e-15
+    assert abs(spectrum.real.min() - np.linalg.eigvalsh(circulant).min()) <= 1e-14
+    assert spectrum.real.min() < 0.0
+
+
 def test_convolve_grid_mismatch():
     k = build_kernel(TorusGrid(1, 8), TopHat(0.25))
     with pytest.raises(GridMismatchError):
