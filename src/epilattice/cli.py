@@ -11,8 +11,8 @@
 ``--seed`` and ``--out`` override the config's ``seed`` / ``out_dir``. Any
 manifest written by a previous run can be passed to ``--config`` directly.
 Each subcommand computes and prints; it returns its CSV tables and its
-``realized.*`` manifest entries, and ``main`` alone writes them, the tables
-first and then ``manifest.txt``, so a run that fails writes nothing.
+``realized.*`` manifest entries, and ``main`` alone renders and writes them,
+all or nothing and ``manifest.txt`` last, so a run that fails writes nothing.
 Exit codes: 0 success, 2 configuration/input problem, 3 numerical failure
 (instability, non-convergence, domain violations), 1 unexpected error (its
 traceback goes to stderr).
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 import traceback
@@ -29,21 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ExperimentConfig, _parse_float, parse_profile_pair
 from .errors import ConfigError, IoError, NumericsError, SetupError
-from .experiments import (
-    FLOAT_FMT,
-    RunManifest,
-    run_critical_sweep,
-    run_hydro_sweep,
-    run_simulation,
-    write_csv,
-    write_manifest,
-)
+from .experiments import run_critical_sweep, run_hydro_sweep, run_simulation
 from .final_density import infer_beta, infer_initial_infected, solve_final_density
 from .grid import TorusGrid, build_kernel, parse_kernel_spec
 from .meanfield import MeanFieldParams, final_size, hat_x_infinity, peak_infection
 from .pde import DensityField, exp_identity_residual, integrate_pde
+
+FLOAT_FMT = "%.17g"
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -149,10 +145,7 @@ def _cmd_meanfield(config: ExperimentConfig):
                 y_peak = peak[1]
         rows.append((beta, rho0, rho1, x_inf, y_peak, hat_x_infinity(beta).value))
     header = ["beta", "rho0", "rho1", "x_inf", "y_peak", "x_hat"]
-    print(",".join(header))
-    for row in rows:
-        print(",".join("%.17g" % c if isinstance(c, float) else str(c)
-                       for c in row))
+    print(_csv_text(header, rows), end="")
     return {"meanfield.csv": (header, rows)}, {}
 
 
@@ -237,6 +230,43 @@ _COMMANDS = {
 }
 
 
+def _csv_text(header, rows) -> str:
+    """A table as CSV text, floats at 17 significant digits."""
+    return "".join(",".join(FLOAT_FMT % cell if isinstance(cell, (float, np.floating))
+                            else str(cell) for cell in row) + "\n"
+                   for row in (header, *rows))
+
+
+def _manifest_text(command: str, config: ExperimentConfig, files,
+                   realized: dict[str, str], wall_seconds: float) -> str:
+    """Key-value run record; the ``config.*`` echo alone reproduces the run."""
+    items = {"manifest_version": "1", "package_version": __version__, "command": command,
+             "wall_seconds": "%.3f" % wall_seconds, "files": ", ".join(files),
+             **{f"config.{key}": value for key, value in config.as_items().items()},
+             **realized}
+    return "".join(f"{key} = {value}\n" for key, value in items.items())
+
+
+def _write_run(out: Path, texts: dict[str, str]) -> None:
+    """Stage every file under a temporary name in ``out``, then rename each
+    into place, the last one last; on an ``OSError`` no temporary stays."""
+    staged = []
+    try:
+        for name in texts:
+            if (out / name).is_dir():
+                raise IsADirectoryError(f"{out / name} is a directory")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            staged.append(out / f".{name}.{os.getpid()}.tmp")
+            staged[-1].write_text(text)
+        for temporary, name in zip(staged, texts):
+            os.replace(temporary, out / name)
+    except OSError as exc:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        raise IoError(f"cannot write the run into {out}: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epi",
@@ -261,11 +291,10 @@ def main(argv=None) -> int:
         tables, realized = args.func(config)
         if args.command == "meanfield" and args.out is None:
             return 0  # the table went to stdout only
-        out = Path(config.out_dir)
-        for name, (header, rows) in tables.items():
-            write_csv(out / name, header, rows)
-        write_manifest(out / "manifest.txt", RunManifest(
-            args.command, config, realized, time.perf_counter() - started))
+        texts = {name: _csv_text(*table) for name, table in tables.items()}
+        texts["manifest.txt"] = _manifest_text(
+            args.command, config, tables, realized, time.perf_counter() - started)
+        _write_run(Path(config.out_dir), texts)
         return 0
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)

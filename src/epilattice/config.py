@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSpecError, IoError
 from .grid import TorusGrid, parse_kernel_spec
-from .pde import cosine_bump
-
-#: Largest PDE step accepted from a config (explicit scheme stability guard).
-MAX_CONFIG_DT = 0.1
+from .pde import MAX_PDE_DT, cosine_bump
 
 _MANIFEST_PREFIX = "config."
 
@@ -148,8 +145,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_end: must be positive, got {self.t_end}")
         if self.samples < 1:
             raise ConfigError(f"samples: must be >= 1, got {self.samples}")
-        if not 0 < self.dt <= MAX_CONFIG_DT:
-            raise ConfigError(f"dt: must be in (0, {MAX_CONFIG_DT}], got {self.dt}")
+        if not 0 < self.dt <= MAX_PDE_DT:
+            raise ConfigError(f"dt: must be in (0, {MAX_PDE_DT}], got {self.dt}")
         if not self.tol > 0:
             raise ConfigError(f"tol: must be positive, got {self.tol}")
         if self.mode not in ("beta", "initial", "both"):

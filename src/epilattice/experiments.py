@@ -1,4 +1,4 @@
-"""Sweep orchestration: convergence studies, critical-threshold runs, output.
+"""Sweep orchestration: convergence studies and critical-threshold runs.
 
 Two experiment families are automated here:
 
@@ -17,35 +17,28 @@ Two experiment families are automated here:
 Every replica draws its generator from a seed derived deterministically
 from (master seed, job position, L, replica index), so sweeps are
 reproducible replica-by-replica and streams never collide across jobs.
-Results are plain rows; a sweep result's ``tables()`` names its CSV files and
-their columns. ``write_csv`` puts tables on disk with floats at 17
-significant digits, and ``write_manifest`` a ``manifest.txt`` that echoes the
-configuration (re-runnable as-is) plus realized quantities.
+Results are plain rows, and a sweep result's ``tables()`` names its CSV files
+and their columns; only the command line (``cli``) renders and writes them.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .config import ExperimentConfig, parse_profile_pair
-from .errors import ConfigError, DomainError, IoError
+from .errors import ConfigError, DomainError
 from .grid import MeanField, TorusGrid, build_kernel, parse_kernel_spec
 from .meanfield import hat_x_infinity
 from .particle import (absorb_mean_field, init_exact_counts, init_random, make_rng,
                        run_sampled, run_to_absorption)
 from .pde import DensityField, integrate_pde
 
-FLOAT_FMT = "%.17g"
-
 
 # ---------------------------------------------------------------------------
-# seeds and manifests
+# seeds
 # ---------------------------------------------------------------------------
 
 def derive_seed(master: int, *key: int) -> int:
@@ -57,58 +50,6 @@ def derive_seed(master: int, *key: int) -> int:
     words = np.random.SeedSequence(master, spawn_key=tuple(key)).generate_state(4)
     return int.from_bytes(b"".join(int(w).to_bytes(4, "little") for w in words),
                           "little")
-
-
-@dataclass
-class RunManifest:
-    """Key-value run record; the ``config.*`` echo alone reproduces the run."""
-
-    command: str
-    config: ExperimentConfig
-    extra: dict[str, str] = field(default_factory=dict)
-    wall_seconds: Optional[float] = None
-
-    def items(self) -> dict[str, str]:
-        out = {
-            "manifest_version": "1",
-            "package_version": __version__,
-            "command": self.command,
-        }
-        if self.wall_seconds is not None:
-            out["wall_seconds"] = "%.3f" % self.wall_seconds
-        for key, value in self.config.as_items().items():
-            out[f"config.{key}"] = value
-        out.update(self.extra)
-        return out
-
-    def render(self) -> str:
-        return "".join(f"{k} = {v}\n" for k, v in self.items().items())
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
-
-
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """CSV writer with deterministic float text (17 significant digits)."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(FLOAT_FMT % cell)
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_manifest(path: Path, manifest: RunManifest) -> None:
-    _write_text(path, manifest.render())
 
 
 # ---------------------------------------------------------------------------

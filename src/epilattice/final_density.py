@@ -125,6 +125,11 @@ class BetaInference:
     excluded: np.ndarray
 
 
+def _check_final_density(rho: np.ndarray) -> None:
+    if not (rho.min() >= 0.0 and rho.max() <= 1.0):  # NaN fails both
+        raise InconsistentInputError("final density must lie in [0, 1]")
+
+
 def infer_beta(kernel: DiscreteKernel, rho: np.ndarray,
                region: np.ndarray) -> BetaInference:
     """Estimate the infection rate from a final profile.
@@ -145,8 +150,7 @@ def infer_beta(kernel: DiscreteKernel, rho: np.ndarray,
     region = np.asarray(region, dtype=bool)
     if rho.shape != grid.shape or region.shape != grid.shape:
         raise GridMismatchError("rho/region shape does not match the grid")
-    if rho.min() < 0.0 or rho.max() > 1.0:
-        raise InconsistentInputError("final density must lie in [0, 1]")
+    _check_final_density(rho)
 
     pressure = convolve(kernel, 1.0 - rho)
     excluded = region & (pressure <= DEGENERATE_PRESSURE_TOL)
@@ -176,8 +180,7 @@ def infer_initial_infected(kernel: DiscreteKernel, beta: float,
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.shape:
         raise GridMismatchError("rho shape does not match the grid")
-    if rho.min() < 0.0 or rho.max() > 1.0:
-        raise InconsistentInputError("final density must lie in [0, 1]")
+    _check_final_density(rho)
     rho0 = rho * np.exp(beta * (1.0 - convolve(kernel, rho)))
     escape = max(float(-rho0.min()), float(rho0.max() - 1.0))
     if escape > 1e-9:

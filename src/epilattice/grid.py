@@ -159,22 +159,35 @@ class DiscreteKernel:
             ``gamma^d * weights.sum() == 1`` to within 1e-12.
         dense: full-grid weight array indexed by displacement residue.
         uniform: True for the mean-field kernel (all weights equal 1, which
-            makes several downstream identities exact).
+            makes several downstream identities exact). Its uniform paths
+            read none of the arrays above, so it builds them on first read.
     """
 
     def __init__(self, grid: TorusGrid, spec: KernelSpec,
-                 offsets: np.ndarray, weights: np.ndarray, uniform: bool):
+                 offsets: np.ndarray | None = None, weights: np.ndarray | None = None):
         self.grid = grid
         self.spec = spec
-        self.offsets = offsets
-        self.weights = weights
-        self.uniform = uniform
-        dense = np.zeros(grid.shape)
-        dense[tuple((offsets % grid.L).T)] = weights
-        self.dense = dense
+        self.uniform = isinstance(spec, MeanField)
         self._fft_cache: np.ndarray | None = None
         self._gather_cache: np.ndarray | None = None
-        self.validate()
+        if not self.uniform:
+            self.offsets = offsets
+            self.weights = weights
+            self.validate()
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return self.grid.centered_offsets()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.ones(self.grid.n_sites)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        dense = np.zeros(self.grid.shape)
+        dense[tuple((self.offsets % self.grid.L).T)] = self.weights
+        return dense
 
     @property
     def support_size(self) -> int:
@@ -239,15 +252,10 @@ def build_kernel(grid: TorusGrid, spec: KernelSpec) -> DiscreteKernel:
         EmptySupportError: the discretized support contains no displacement
             besides the origin (radius/width below one lattice spacing).
     """
-    all_offsets = grid.centered_offsets()
-    dist = grid.offset_distances(all_offsets)
-
     if isinstance(spec, MeanField):
-        # Uniform weight 1 satisfies gamma^d * L^d * 1 == 1 identically; keep
-        # the weights at exactly 1.0 rather than renormalizing through floats.
-        offsets = all_offsets
-        weights = np.ones(grid.n_sites)
-        return DiscreteKernel(grid, spec, offsets, weights, uniform=True)
+        # Uniform weight 1 satisfies gamma^d * L^d * 1 == 1 identically; the
+        # kernel keeps its weights at exactly 1.0 rather than renormalizing.
+        return DiscreteKernel(grid, spec)
 
     if isinstance(spec, TopHat):
         reach, label = spec.radius, "radius"
@@ -261,6 +269,8 @@ def build_kernel(grid: TorusGrid, spec: KernelSpec) -> DiscreteKernel:
         raise InvalidSpecError(
             f"kernel {label} {reach} exceeds the half-torus limit 0.5")
 
+    all_offsets = grid.centered_offsets()
+    dist = grid.offset_distances(all_offsets)
     if isinstance(spec, TopHat):
         raw = (dist <= spec.radius).astype(float)
     else:
@@ -279,7 +289,7 @@ def build_kernel(grid: TorusGrid, spec: KernelSpec) -> DiscreteKernel:
             f"(gamma = {grid.gamma:.6g}); support reduces to the origin")
     offsets = all_offsets[keep]
     weights = raw[keep] / (grid.cell_volume() * raw[keep].sum())
-    return DiscreteKernel(grid, spec, offsets, weights, uniform=False)
+    return DiscreteKernel(grid, spec, offsets, weights)
 
 
 # ---------------------------------------------------------------------------

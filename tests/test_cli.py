@@ -306,6 +306,45 @@ def test_failed_command_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_infer_rejects_nan_final_density(tmp_path, capsys):
+    csv = tmp_path / "in.csv"
+    csv.write_text("site_index,rho0,rho1,rho_final\n"
+                   + "".join(f"{site},1,0,{'nan' if site == 5 else 0.5}\n"
+                             for site in range(16)))
+    config = _write_config(tmp_path, "inf.txt", d=1, L=16, kernel="tophat:0.2",
+                           beta=2.0, mode="beta", input=str(csv))
+    out = tmp_path / "out"
+    assert main(["infer", "--config", config, "--out", str(out)]) == 3
+    assert "final density must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_leaves_the_directory_untouched(tmp_path, capsys):
+    config = _write_config(tmp_path, "sim.txt", L=50, beta=2.0, rho0=0.9,
+                           rho1=0.1, replicas=2, seed=5, t_end=2, samples=3)
+    out = tmp_path / "run"
+    (out / "trajectory_r1.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert [path.name for path in out.iterdir()] == ["trajectory_r1.csv"]
+    assert list((out / "trajectory_r1.csv").iterdir()) == []
+    assert "trajectory_r1.csv is a directory" in capsys.readouterr().err
+
+
+def test_manifest_files_line_names_the_files_of_its_run(tmp_path):
+    out = tmp_path / "run"
+    single = _write_config(tmp_path, "one.txt", L=50, beta=2.0, rho0=0.9,
+                           rho1=0.1, seed=5, t_end=2, samples=3)
+    assert main(["simulate", "--config", single, "--out", str(out)]) == 0
+    double = _write_config(tmp_path, "two.txt", L=50, beta=2.0, rho0=0.9,
+                           rho1=0.1, replicas=2, seed=5, t_end=2, samples=3)
+    assert main(["simulate", "--config", double, "--out", str(out)]) == 0
+    files = parse_kv_text((out / "manifest.txt").read_text())["files"]
+    assert files.split(", ") == ["trajectory_r0.csv", "trajectory_r1.csv", "final.csv"]
+    # the first run's trajectory is stale, and the manifest does not name it
+    assert {path.name for path in out.iterdir()} == {
+        "manifest.txt", "trajectory.csv", *files.split(", ")}
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["warp-speed"])

@@ -88,6 +88,9 @@ def test_from_items_rejects_unknown_key():
     ({"mode": "sideways"}, "mode"),
     ({"kernel": "hexagon:1"}, "kernel"),
     ({"L": ""}, "empty list"),
+    ({"d": "0"}, "positive integer"),
+    ({"t_end": "0"}, "t_end: must be positive"),
+    ({"tol": "0"}, "tol: must be positive"),
 ])
 def test_validation_errors(items, match):
     with pytest.raises(ConfigError, match=match):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from epilattice import MeanField, TorusGrid, build_kernel
+from epilattice.cli import _csv_text, _manifest_text, _write_run
 from epilattice.config import ExperimentConfig
 from epilattice.errors import ConfigError, DomainError
 from epilattice.experiments import (
     CriticalResult,
     HydroResult,
-    RunManifest,
     build_test_functions,
     derive_seed,
     linearized_trajectory,
@@ -18,7 +18,6 @@ from epilattice.experiments import (
     run_hydro_sweep,
     run_simulation,
     seeded_infected_count,
-    write_csv,
 )
 from epilattice.meanfield import hat_x_infinity
 from epilattice.particle import init_exact_counts, run_sampled
@@ -247,7 +246,7 @@ def test_exact_count_pairing_error_at_time_zero():
 
 def test_write_csv_formats_17_digits(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [(1, 1.0 / 3.0), (2, 0.1)])
+    _write_run(tmp_path, {"t.csv": _csv_text(["a", "b"], [(1, 1.0 / 3.0), (2, 0.1)])})
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.33333333333333331"
@@ -256,7 +255,7 @@ def test_write_csv_formats_17_digits(tmp_path):
 
 def test_write_csv_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(path, ["x", "y"], [])
+    _write_run(tmp_path, {"empty.csv": _csv_text(["x", "y"], [])})
     assert path.read_text() == "x,y\n"
 
 
@@ -265,8 +264,8 @@ def test_write_outputs_empty_results(tmp_path):
     critical = CriticalResult([], [], {}, 0).tables()
     assert list(hydro) == ["hydro_convergence.csv", "hydro_summary.csv"]
     assert list(critical) == ["critical.csv", "critical_summary.csv"]
-    for name, (header, rows) in {**hydro, **critical}.items():
-        write_csv(tmp_path / name, header, rows)
+    _write_run(tmp_path, {name: _csv_text(header, rows)
+                          for name, (header, rows) in {**hydro, **critical}.items()})
     assert (tmp_path / "hydro_convergence.csv").read_text() == \
         "L,gamma,replica,err_i0,err_i1\n"
     assert (tmp_path / "critical.csv").read_text() == \
@@ -277,10 +276,8 @@ def test_manifest_reproduces_config():
     from epilattice.config import parse_kv_text
     config = ExperimentConfig(L_values=(10, 30), betas=(0.5, 2.0), seed=41,
                               rho0="bump:0.9,0.25", rho1="complement")
-    manifest = RunManifest("critical-sweep", config,
-                           extra={"realized.L10.n_infected": "4"})
-    manifest.wall_seconds = 1.25
-    items = parse_kv_text(manifest.render())
+    items = parse_kv_text(_manifest_text("critical-sweep", config, [],
+                                         {"realized.L10.n_infected": "4"}, 1.25))
     assert items["command"] == "critical-sweep"
     assert items["wall_seconds"] == "1.250"
     assert items["realized.L10.n_infected"] == "4"

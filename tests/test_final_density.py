@@ -202,3 +202,26 @@ def test_infer_initial_infected_inconsistent():
         infer_initial_infected(k, 3.0, np.full(g.shape, 0.1))
     with pytest.raises(InconsistentInputError):
         infer_initial_infected(k, 1.0, np.full(g.shape, 1.5))
+
+
+def test_inverse_maps_reject_nan_final_density():
+    g = TorusGrid(1, 32)
+    k = build_kernel(g, TopHat(0.2))
+    rho = np.full(g.shape, 0.5)
+    rho[7] = np.nan
+    with pytest.raises(InconsistentInputError):
+        infer_beta(k, rho, np.ones(g.shape, dtype=bool))
+    with pytest.raises(InconsistentInputError):
+        infer_initial_infected(k, 1.5, rho)
+
+
+def test_inverse_maps_reject_mismatched_shapes():
+    g = TorusGrid(1, 32)
+    k = build_kernel(g, TopHat(0.2))
+    rho = np.full(g.shape, 0.5)
+    with pytest.raises(GridMismatchError):
+        infer_beta(k, np.full(16, 0.5), np.ones(16, dtype=bool))
+    with pytest.raises(GridMismatchError):
+        infer_beta(k, rho, np.ones(16, dtype=bool))
+    with pytest.raises(GridMismatchError):
+        infer_initial_infected(k, 1.5, np.full((32, 1), 0.5))

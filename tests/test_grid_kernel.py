@@ -19,7 +19,8 @@ from epilattice.errors import (
     GridMismatchError,
     InvalidSpecError,
 )
-from epilattice.grid import DIRECT_COST_MAX
+from epilattice.grid import DIRECT_COST_MAX, DiscreteKernel
+from epilattice.particle import init_random, make_rng, run_sampled
 
 
 def conv_bruteforce(kernel, field):
@@ -92,6 +93,32 @@ def test_meanfield_weights_are_one():
     assert k.support_size == g.n_sites
     assert np.all(k.weights == 1.0)
     assert k.uniform
+
+
+def test_meanfield_kernel_builds_no_arrays_on_its_uniform_paths():
+    g = TorusGrid(2, 20)
+    k = build_kernel(g, MeanField())
+    field = np.random.default_rng(3).random(g.shape)
+    assert np.array_equal(convolve(k, field), np.full(g.shape, field.mean()))
+    state = init_random(k, 2.0, 0.9, 0.1, make_rng(5))
+    run_sampled(state, [0.0, 1.0, 2.0], np.ones((1, g.n_sites)))
+    assert not {"offsets", "weights", "dense"} & set(vars(k))
+    # built on first read, they are the full-grid arrays
+    assert np.array_equal(k.offsets, g.centered_offsets())
+    assert np.array_equal(k.dense, np.ones(g.shape))
+
+
+# weights at offsets -1, 0, 1 on L = 4, where normalization needs a sum of 4
+@pytest.mark.parametrize("weights, match", [
+    ([0.5, 2.0, 1.5], "symmetric"),
+    ([1.0, 1.0, 1.0], "normalization"),
+    ([1.5, 1.0, 1.5], "increase with distance"),
+])
+def test_validate_rejects_malformed_local_kernels(weights, match):
+    g = TorusGrid(1, 4)
+    offsets = np.array([[-1], [0], [1]])
+    with pytest.raises(InvalidSpecError, match=match):
+        DiscreteKernel(g, TopHat(0.25), offsets, np.array(weights))
 
 
 def test_support_below_lattice_spacing():
