@@ -163,6 +163,9 @@ def _read_final_csv(path, grid: TorusGrid):
         raise ConfigError(
             f"input {path}: {data.size} rows for a grid of {grid.n_sites} sites")
     order = np.argsort(data["site_index"])
+    if not np.array_equal(data["site_index"][order], np.arange(grid.n_sites)):
+        raise ConfigError(f"input {path}: site_index must list each site "
+                          f"0 .. {grid.n_sites - 1} once")
     return (data["rho0"][order].reshape(grid.shape),
             data["rho1"][order].reshape(grid.shape),
             data["rho_final"][order].reshape(grid.shape))

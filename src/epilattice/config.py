@@ -233,12 +233,6 @@ def parse_profile(grid: TorusGrid, spec: str, key: str = "profile") -> np.ndarra
     """
     spec = spec.strip()
     if ":" not in spec:
-        try:
-            float(spec)
-        except ValueError:
-            raise ConfigError(
-                f"{key}: expected a number, uniform:<v> or "
-                f"bump:<height>,<halfwidth>[,<center...>]; got {spec!r}") from None
         return np.full(grid.shape, _parse_float(key, spec))
     head, _, rest = spec.partition(":")
     head = head.strip().lower()

@@ -27,6 +27,10 @@ class ConfigError(SetupError):
     """Config file or CLI parameter could not be parsed or validated."""
 
 
+class InvalidGridError(SetupError, ValueError):
+    """Grid dimension outside 1..3 or fewer than 2 sites per side."""
+
+
 class InvalidSpecError(SetupError):
     """Kernel specification is invalid (non-positive or over-wide radius/width)."""
 

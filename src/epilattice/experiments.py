@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_profile_pair
+from .config import ExperimentConfig, _parse_float, _parse_int, parse_profile_pair
 from .errors import ConfigError, DomainError
 from .grid import MeanField, TorusGrid, build_kernel, parse_kernel_spec
 from .meanfield import hat_x_infinity
@@ -101,10 +101,7 @@ def build_test_functions(grid: TorusGrid, spec: str) -> np.ndarray:
         if head not in ("cos", "sin") or not freq_text:
             raise ConfigError(
                 f"test_functions: expected one | cos:<k> | sin:<k>, got {token!r}")
-        try:
-            freq = float(freq_text)
-        except ValueError:
-            raise ConfigError(f"test_functions: bad frequency in {token!r}") from None
+        freq = _parse_float("test_functions", freq_text)
         wave = np.cos if head == "cos" else np.sin
         for axis in range(grid.d):
             funcs.append(wave(2.0 * np.pi * freq * coords[:, axis]))
@@ -281,10 +278,7 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
         parts = config.init[len("exact:"):].split(",")
         if len(parts) != 2:
             raise ConfigError(f"init: expected exact:<n_sus>,<n_inf>, got {config.init!r}")
-        try:
-            n_sus, n_inf = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ConfigError(f"init: bad counts in {config.init!r}") from None
+        n_sus, n_inf = (_parse_int("init", part) for part in parts)
     else:
         raise ConfigError(
             f"init: expected random | exact:<n_sus>,<n_inf>, got {config.init!r}")

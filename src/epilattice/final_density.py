@@ -79,7 +79,7 @@ def solve_final_density(kernel: DiscreteKernel, beta: float,
     conv_mass = convolve(kernel, init.u0 + init.u1)
     rho = init.u0 * np.exp(-beta * conv_mass)
     lam_lo = 0.0 if kernel.uniform else beta * float(init.u0.max()) * min(
-        0.0, float(kernel._fft().real.min()))
+        0.0, float(kernel._fft.real.min()))
     omega, last, lam = 1.0, np.inf, np.nan
     for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         new = convolve(kernel, rho)  # a fresh array: updated in place

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EmptySupportError, GridMismatchError, InvalidSpecError
+from .errors import EmptySupportError, GridMismatchError, InvalidGridError, InvalidSpecError
 
 #: ``convolve`` sums directly only when ``support_size * n_sites <=
 #: DIRECT_COST_MAX``: the measured crossover with the spectral path
@@ -49,9 +49,9 @@ class TorusGrid:
 
     def __post_init__(self) -> None:
         if not (1 <= self.d <= 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+            raise InvalidGridError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.L < 2:
-            raise ValueError(f"need at least 2 sites per side, got L={self.L}")
+            raise InvalidGridError(f"need at least 2 sites per side, got L={self.L}")
 
     @property
     def gamma(self) -> float:
@@ -168,8 +168,6 @@ class DiscreteKernel:
         self.grid = grid
         self.spec = spec
         self.uniform = isinstance(spec, MeanField)
-        self._fft_cache: np.ndarray | None = None
-        self._gather_cache: np.ndarray | None = None
         if not self.uniform:
             self.offsets = offsets
             self.weights = weights
@@ -191,7 +189,7 @@ class DiscreteKernel:
 
     @property
     def support_size(self) -> int:
-        return len(self.weights)
+        return self.grid.n_sites if self.uniform else len(self.weights)
 
     def weight_at(self, z) -> float:
         """Weight of an arbitrary displacement (any residue representative)."""
@@ -218,21 +216,19 @@ class DiscreteKernel:
 
     # -- cached machinery for convolve and the particle thinning sampler ----
 
+    @cached_property
     def _fft(self) -> np.ndarray:
         """gamma^d * DFT(dense), the eigenvalues of ``convolve``'s operator."""
-        if self._fft_cache is None:
-            self._fft_cache = self.grid.cell_volume() * np.fft.rfftn(self.dense)
-        return self._fft_cache
+        return self.grid.cell_volume() * np.fft.rfftn(self.dense)
 
+    @cached_property
     def _gather(self) -> np.ndarray:
         """(S, n_sites) intp matrix (no per-call index conversion); row s
         holds flat indices of x - z_s."""
-        if self._gather_cache is None:
-            base = np.arange(self.grid.n_sites).reshape(self.grid.shape)
-            rows = [np.roll(base, shift=tuple(z), axis=tuple(range(self.grid.d))).ravel()
-                    for z in self.offsets]
-            self._gather_cache = np.array(rows, dtype=np.intp)
-        return self._gather_cache
+        base = np.arange(self.grid.n_sites).reshape(self.grid.shape)
+        rows = [np.roll(base, shift=tuple(z), axis=tuple(range(self.grid.d))).ravel()
+                for z in self.offsets]
+        return np.array(rows, dtype=np.intp)
 
     @cached_property
     def _thinning(self) -> tuple[list, list]:
@@ -327,13 +323,13 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
         method = "direct" if cheap else "fft"
 
     if method == "direct":
-        gathered = field.ravel()[kernel._gather()]
+        gathered = field.ravel()[kernel._gather]
         out = (kernel.weights @ gathered) * grid.cell_volume()
         return out.reshape(grid.shape)
 
     if method == "fft":
         axes = tuple(range(grid.d))
-        spectral = np.fft.rfftn(field, axes=axes) * kernel._fft()
+        spectral = np.fft.rfftn(field, axes=axes) * kernel._fft
         return np.fft.irfftn(spectral, s=grid.shape, axes=axes)
 
     raise ValueError(f"unknown convolve method {method!r}")

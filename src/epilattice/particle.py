@@ -60,6 +60,7 @@ from .errors import (
     InvalidProfileError,
 )
 from .grid import DiscreteKernel, convolve
+from .pde import DensityField, check_sample_times
 
 SUSCEPTIBLE = 0
 INFECTED = 1
@@ -219,29 +220,23 @@ class EpidemicState:
 # initialization
 # ---------------------------------------------------------------------------
 
-def _broadcast_profile(grid, value, name) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(grid.shape, float(arr))
-    if arr.shape != grid.shape:
-        raise GridMismatchError(f"{name} shape {arr.shape} != grid {grid.shape}")
-    return arr.ravel()
+def _check_counts(n_sites: int, n_sus: int, n_inf: int) -> None:
+    if n_sus < 0 or n_inf < 0 or n_sus + n_inf > n_sites:
+        raise CountOverflowError(
+            f"counts ({n_sus}, {n_inf}) incompatible with {n_sites} sites")
 
 
 def init_random(kernel: DiscreteKernel, beta: float, rho0, rho1,
                 seed) -> EpidemicState:
     """Product-measure initialization with marginals (rho0, rho1, rest).
 
-    ``rho0``/``rho1`` may be scalars or per-site fields; each site is
-    independently infected with probability rho1, susceptible with rho0,
-    removed otherwise.
+    ``rho0``/``rho1`` may be scalars or per-site fields, checked as a
+    :class:`~epilattice.pde.DensityField`; each site is independently
+    infected with probability rho1, susceptible with rho0, removed otherwise.
     """
     grid = kernel.grid
-    r0 = _broadcast_profile(grid, rho0, "rho0")
-    r1 = _broadcast_profile(grid, rho1, "rho1")
-    # written so that a NaN, which fails every comparison, is rejected too
-    if not (r0.min() >= 0 and r1.min() >= 0 and (r0 + r1).max() <= 1.0 + 1e-12):
-        raise InvalidProfileError("need finite rho0, rho1 >= 0 with rho0 + rho1 <= 1")
+    field = DensityField(grid, rho0, rho1)
+    r0, r1 = field.u0.ravel(), field.u1.ravel()
     rng = make_rng(seed)
     u = rng.random(grid.n_sites)
     # u < rho1 implies u < rho0 + rho1, so eta is 1, 0 or -1
@@ -254,9 +249,7 @@ def init_exact_counts(kernel: DiscreteKernel, beta: float, n_sus: int,
     """Exactly ``n_inf`` infected and ``n_sus`` susceptible sites, placed
     uniformly at random; remaining sites start removed."""
     grid = kernel.grid
-    if n_sus < 0 or n_inf < 0 or n_sus + n_inf > grid.n_sites:
-        raise CountOverflowError(
-            f"counts ({n_sus}, {n_inf}) incompatible with {grid.n_sites} sites")
+    _check_counts(grid.n_sites, n_sus, n_inf)
     rng = make_rng(seed)
     perm = rng.permutation(grid.n_sites)
     eta = np.full(grid.n_sites, REMOVED, dtype=np.int8)
@@ -411,9 +404,7 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
     state. ``test_functions`` is an optional (n_funcs, n_sites) array of
     site-evaluated observables.
     """
-    times = [float(t) for t in sample_times]
-    if not times or any(t < 0 for t in times) or np.any(np.diff(times) <= 0):
-        raise InvalidProfileError("sample times must be strictly increasing, >= 0")
+    times = check_sample_times(sample_times)
     if test_functions is not None:
         test_functions = np.atleast_2d(np.asarray(test_functions, dtype=float))
         if test_functions.shape[1] != state.grid.n_sites:
@@ -460,9 +451,7 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     Exponentials are drawn ``UNIFORM_BLOCK`` at a time, up to the block that
     absorbs.
     """
-    if n_sus < 0 or n_inf < 0 or n_sus + n_inf > n_sites:
-        raise CountOverflowError(
-            f"counts ({n_sus}, {n_inf}) incompatible with {n_sites} sites")
+    _check_counts(n_sites, n_sus, n_inf)
     if not beta > 0.0:
         raise InvalidProfileError(f"beta must be positive, got {beta}")
     if n_inf == 0:

@@ -47,15 +47,16 @@ U1_TOL = 1e-8
 
 @dataclass
 class DensityField:
-    """A susceptible/infected density pair on a grid."""
+    """A susceptible/infected density pair on a grid; a scalar stands for a
+    uniform profile. This is the one check of an initial profile pair."""
 
     grid: TorusGrid
     u0: np.ndarray
     u1: np.ndarray
 
     def __post_init__(self) -> None:
-        self.u0 = np.asarray(self.u0, dtype=float)
-        self.u1 = np.asarray(self.u1, dtype=float)
+        self.u0, self.u1 = (np.full(self.grid.shape, float(u)) if np.ndim(u) == 0
+                            else np.asarray(u, dtype=float) for u in (self.u0, self.u1))
         if self.u0.shape != self.grid.shape or self.u1.shape != self.grid.shape:
             raise GridMismatchError(
                 f"profile shapes {self.u0.shape}/{self.u1.shape} do not match "
@@ -65,11 +66,6 @@ class DensityField:
             raise InvalidProfileError("densities must be finite and nonnegative")
         if not (self.u0 + self.u1).max() <= 1.0 + 1e-12:
             raise InvalidProfileError("u0 + u1 must not exceed 1")
-
-
-def uniform_field(grid: TorusGrid, rho0: float, rho1: float) -> DensityField:
-    return DensityField(grid, np.full(grid.shape, float(rho0)),
-                        np.full(grid.shape, float(rho1)))
 
 
 def cosine_bump(grid: TorusGrid, center: Sequence[float], halfwidth: float,
@@ -136,12 +132,17 @@ def integrate_pde(kernel: DiscreteKernel, beta: float, init: DensityField,
         raise GridMismatchError("kernel and initial field use different grids")
     if not 0.0 < dt <= MAX_PDE_DT:
         raise InvalidProfileError(f"dt must lie in (0, {MAX_PDE_DT}], got {dt}")
+    return _run_from(kernel, beta, init.u0.copy(), init.u1.copy(),
+                     0.0, check_sample_times(sample_times), dt)
+
+
+def check_sample_times(sample_times: Sequence[float]) -> list[float]:
+    """The sample times as floats, which must be nonnegative and strictly
+    increasing; ``run_sampled`` and ``integrate_pde`` share this rule."""
     times = [float(s) for s in sample_times]
     if not times or any(s < 0.0 for s in times) or np.any(np.diff(times) <= 0):
         raise InvalidProfileError("sample times must be strictly increasing, >= 0")
-
-    return _run_from(kernel, beta, init.u0.copy(), init.u1.copy(),
-                     0.0, times, dt)
+    return times
 
 
 def _run_from(kernel: DiscreteKernel, beta: float, u0: np.ndarray,

@@ -133,6 +133,19 @@ def test_infer_rejects_wrong_grid(tmp_path):
     assert main(["infer", "--config", config, "--out", str(tmp_path)]) == 2
 
 
+def test_infer_rejects_a_duplicated_site_index(tmp_path, capsys):
+    # eight rows for L = 8, but site 0 is listed twice and site 1 is missing
+    csv = tmp_path / "dup.csv"
+    csv.write_text("site_index,rho0,rho1,rho_final\n"
+                   + "".join(f"{site},1,0,0.5\n" for site in (0, 0, *range(2, 8))))
+    config = _write_config(tmp_path, "inf.txt", L=8, beta=1.5, mode="beta",
+                           input=str(csv))
+    out = tmp_path / "out"
+    assert main(["infer", "--config", config, "--out", str(out)]) == 2
+    assert "site_index" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # meanfield
 # ---------------------------------------------------------------------------
@@ -164,6 +177,17 @@ def test_nan_profile_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == 2
     assert "rho0: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["cos:nan", "cos:inf"])
+def test_nonfinite_test_function_is_a_config_error(tmp_path, capsys, bad):
+    config = _write_config(tmp_path, "hydro.txt", L=20, beta=2.0, rho0=0.9,
+                           rho1=0.1, t_end=1, samples=2,
+                           test_functions=f"one,{bad}")
+    out = tmp_path / "out"
+    assert main(["hydro-sweep", "--config", config, "--out", str(out)]) == 2
+    assert "test_functions: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -276,6 +300,27 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                            rho0=0.9, rho1=0.1, dt=0.1, t_end=5, samples=6)
     assert main(["pde", "--config", config, "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "pde", "final", "hydro-sweep"])
+def test_grid_commands_reject_four_dimensions(tmp_path, capsys, command):
+    config = _write_config(tmp_path, "d4.txt", d=4, L=3, beta=2.0, rho0=0.9,
+                           rho1=0.1, t_end=1, samples=2)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension must be 1, 2 or 3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_critical_sweep_runs_in_four_dimensions(tmp_path):
+    # it builds no grid, so any d >= 1 is allowed
+    config = _write_config(tmp_path, "d4.txt", d=4, L=3, beta="0.5, 2",
+                           alpha=0.25, replicas=2)
+    out = tmp_path / "out"
+    assert main(["critical-sweep", "--config", config, "--out", str(out)]) == 0
+    assert len((out / "critical.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
 def test_exit_code_unexpected_error_prints_traceback(monkeypatch, capsys):

@@ -96,7 +96,8 @@ def test_build_test_functions_2d_per_axis():
     assert funcs.shape == (1 + 2, 36)  # one + cos per axis
 
 
-@pytest.mark.parametrize("bad", ["", "triangle", "cos", "cos:x", "one,"])
+@pytest.mark.parametrize("bad", ["", "triangle", "cos", "cos:x", "one,",
+                                 "one,cos:nan", "one,cos:inf", "sin:-inf"])
 def test_build_test_functions_errors(bad):
     grid = TorusGrid(1, 8)
     if bad == "one,":
@@ -315,3 +316,5 @@ def test_run_simulation_bad_init():
         run_simulation(ExperimentConfig(init="exact:10"))
     with pytest.raises(ConfigError, match="init"):
         run_simulation(ExperimentConfig(init="scattered"))
+    with pytest.raises(ConfigError, match="init"):
+        run_simulation(ExperimentConfig(init="exact:10,2.5"))

@@ -17,7 +17,7 @@ from epilattice.final_density import (
     solve_final_density,
 )
 from epilattice.meanfield import final_size
-from epilattice.pde import DensityField, cosine_bump, long_time_limit, uniform_field
+from epilattice.pde import DensityField, cosine_bump, long_time_limit
 
 
 # ---------------------------------------------------------------------------
@@ -34,10 +34,10 @@ def test_uniform_meanfield_matches_planar_final_size():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
     for beta, r0, r1, expected in cases:
-        res = solve_final_density(k, beta, uniform_field(g, r0, r1))
+        res = solve_final_density(k, beta, DensityField(g, r0, r1))
         assert np.abs(res.rho - expected).max() <= 1e-8
         assert res.residual <= 1e-10
-        tight = solve_final_density(k, beta, uniform_field(g, r0, r1), tol=1e-14)
+        tight = solve_final_density(k, beta, DensityField(g, r0, r1), tol=1e-14)
         assert np.abs(tight.rho - final_size(beta, r0, r1)).max() <= 1e-12
 
 
@@ -45,7 +45,7 @@ def test_no_initial_infecteds_subcritical_regime():
     # with rho1 = 0 and beta*rho0 < 1 the only fixed point is rho0 itself
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
-    res = solve_final_density(k, 0.8, uniform_field(g, 0.9, 0.0))
+    res = solve_final_density(k, 0.8, DensityField(g, 0.9, 0.0))
     assert np.abs(res.rho - 0.9).max() <= 1e-8
 
 
@@ -125,12 +125,12 @@ def test_no_convergence_at_critical_double_root():
     g = TorusGrid(1, 8)
     k = build_kernel(g, MeanField())
     with pytest.raises(NoConvergenceError):
-        solve_final_density(k, 1.0, uniform_field(g, 1.0, 0.0), tol=1e-10)
+        solve_final_density(k, 1.0, DensityField(g, 1.0, 0.0), tol=1e-10)
 
 
 def test_grid_mismatch():
     k = build_kernel(TorusGrid(1, 16), MeanField())
-    init = uniform_field(TorusGrid(1, 8), 0.9, 0.1)
+    init = DensityField(TorusGrid(1, 8), 0.9, 0.1)
     with pytest.raises(GridMismatchError):
         solve_final_density(k, 1.0, init)
 

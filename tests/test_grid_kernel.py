@@ -18,6 +18,7 @@ from epilattice.errors import (
     EmptySupportError,
     GridMismatchError,
     InvalidSpecError,
+    SetupError,
 )
 from epilattice.grid import DIRECT_COST_MAX, DiscreteKernel
 from epilattice.particle import init_random, make_rng, run_sampled
@@ -65,6 +66,13 @@ def test_grid_rejects_bad_parameters():
         TorusGrid(1, 1)
 
 
+def test_bad_grid_is_a_setup_error():
+    # the command line maps setup errors to exit code 2
+    for d, L in ((4, 3), (0, 8), (1, 1)):
+        with pytest.raises(SetupError):
+            TorusGrid(d, L)
+
+
 def test_centered_offsets_cover_all_residues():
     g = TorusGrid(1, 8)
     offs = g.centered_offsets()[:, 0]
@@ -102,7 +110,8 @@ def test_meanfield_kernel_builds_no_arrays_on_its_uniform_paths():
     assert np.array_equal(convolve(k, field), np.full(g.shape, field.mean()))
     state = init_random(k, 2.0, 0.9, 0.1, make_rng(5))
     run_sampled(state, [0.0, 1.0, 2.0], np.ones((1, g.n_sites)))
-    assert not {"offsets", "weights", "dense"} & set(vars(k))
+    assert k.support_size == g.n_sites
+    assert not {"offsets", "weights", "dense", "_fft", "_gather"} & set(vars(k))
     # built on first read, they are the full-grid arrays
     assert np.array_equal(k.offsets, g.centered_offsets())
     assert np.array_equal(k.dense, np.ones(g.shape))
@@ -273,7 +282,7 @@ def test_auto_path_follows_cost_rule(g, spec, direct):
     f = np.random.default_rng(23).random(g.shape)
     auto = convolve(k, f)
     # the gather table exists only once the direct path has run
-    assert (k._gather_cache is not None) == direct
+    assert ("_gather" in vars(k)) == direct
     forced = {method: convolve(k, f, method) for method in ("direct", "fft")}
     assert np.array_equal(auto, forced["direct" if direct else "fft"])
     for out in forced.values():
@@ -281,13 +290,13 @@ def test_auto_path_follows_cost_rule(g, spec, direct):
 
 
 def test_cached_spectrum_is_the_operator_spectrum():
-    # the final-density solver reads K's smallest eigenvalue off _fft()
+    # the final-density solver reads K's smallest eigenvalue off _fft
     g = TorusGrid(2, 12)
     k = build_kernel(g, WrappedBump(0.3))
     sites = np.indices(g.shape).reshape(g.d, -1).T
     residues = (sites[:, None, :] - sites[None, :, :]) % g.L
     circulant = g.cell_volume() * k.dense[residues[..., 0], residues[..., 1]]
-    spectrum = k._fft()
+    spectrum = k._fft
     assert np.abs(spectrum.imag).max() <= 1e-15
     assert abs(spectrum.real.min() - np.linalg.eigvalsh(circulant).min()) <= 1e-14
     assert spectrum.real.min() < 0.0

@@ -27,7 +27,6 @@ from epilattice.pde import (
     exp_identity_residual,
     integrate_pde,
     long_time_limit,
-    uniform_field,
 )
 
 
@@ -56,10 +55,21 @@ def test_profile_validation():
         DensityField(g, np.zeros(17), np.zeros(17))
 
 
+def test_scalar_profiles_are_uniform():
+    g = TorusGrid(2, 6)
+    field = DensityField(g, 0.9, 0.1)
+    assert np.array_equal(field.u0, np.full(g.shape, 0.9))
+    assert np.array_equal(field.u1, np.full(g.shape, 0.1))
+    with pytest.raises(InvalidProfileError):
+        DensityField(g, 0.9, np.nan)
+    with pytest.raises(GridMismatchError):  # only a scalar is broadcast
+        DensityField(g, np.full(6, 0.9), 0.1)
+
+
 def test_sampling_contract():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
-    init = uniform_field(g, 0.9, 0.1)
+    init = DensityField(g, 0.9, 0.1)
     run = integrate_pde(k, 1.0, init, [0.0, 0.35, 1.0])
     assert np.array_equal(run.t, [0.0, 0.35, 1.0])
     assert np.array_equal(run.u0[0], init.u0)
@@ -104,7 +114,7 @@ def test_uniform_runs_reduce_to_planar_ode():
     traj = ode_integrate(MeanFieldParams(2.0, 0.95, 0.05), 6.0, dt=1e-2)
     for spec in (MeanField(), TopHat(0.25), WrappedBump(0.3)):
         k = build_kernel(g, spec)
-        run = integrate_pde(k, 2.0, uniform_field(g, 0.95, 0.05),
+        run = integrate_pde(k, 2.0, DensityField(g, 0.95, 0.05),
                             [2.0, 6.0], dt=1e-2)
         for i, tt in enumerate(run.t):
             j = np.argmin(np.abs(traj.t - tt))
@@ -136,7 +146,7 @@ def test_stability_violation_detected():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
     with pytest.raises(StabilityViolationError):
-        integrate_pde(k, 60.0, uniform_field(g, 0.5, 0.5), [2.0], dt=0.1)
+        integrate_pde(k, 60.0, DensityField(g, 0.5, 0.5), [2.0], dt=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +211,7 @@ def test_long_time_limit_uniform_frozen_values():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
     for beta, r0, r1, expected in cases:
-        res = long_time_limit(k, beta, uniform_field(g, r0, r1))
+        res = long_time_limit(k, beta, DensityField(g, r0, r1))
         assert np.abs(res.u0 - expected).max() <= 1e-6
         assert np.all(res.u0 >= res.lower_bound - 1e-9)
         cap = 200.0 if beta >= 1 else 50.0 * max(1.0, 1.0 / (1.0 - beta))
@@ -224,5 +234,5 @@ def test_long_time_limit_horizon_error():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
     with pytest.raises(HorizonExceededError):
-        long_time_limit(k, 2.0, uniform_field(g, 0.99, 0.01),
+        long_time_limit(k, 2.0, DensityField(g, 0.99, 0.01),
                         dt=0.05, u1_tol=1e-300)
