@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, _parse_float, parse_profile_pair
+from .config import ExperimentConfig, parse_profile_pair, parse_uniform
 from .errors import ConfigError, IoError, NumericsError, SetupError
 from .experiments import run_critical_sweep, run_hydro_sweep, run_simulation
 from .final_density import infer_beta, infer_initial_infected, solve_final_density
@@ -59,14 +59,9 @@ def _build_model(config: ExperimentConfig):
     return grid, kernel
 
 
-def _scalar(spec: str, key: str) -> float:
-    """A profile spec that must be uniform (bare number or uniform:<v>)."""
-    text = spec.strip()
-    if text.lower().startswith("uniform:"):
-        text = text.split(":", 1)[1]
-    elif ":" in text:
-        raise ConfigError(f"{key}: this command needs a uniform value, got {spec!r}")
-    return _parse_float(key, text)
+def _site_rows(*fields) -> list[tuple]:
+    """One row per site: its index, then each field's value there."""
+    return list(zip(range(fields[0].size), *(f.ravel() for f in fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +93,9 @@ def _cmd_pde(config: ExperimentConfig):
 
     field_rows = []
     summary_rows = []
-    for k, t in enumerate(run.t):
-        u0 = run.u0[k].ravel()
-        u1 = run.u1[k].ravel()
-        field_rows.extend(
-            (t, site, u0[site], u1[site]) for site in range(grid.n_sites))
-        resid = exp_identity_residual(kernel, config.beta, init,
-                                      run.u0[k], run.u1[k])
+    for t, u0, u1 in zip(run.t, run.u0, run.u1):
+        field_rows.extend((t, *row) for row in _site_rows(u0, u1))
+        resid = exp_identity_residual(kernel, config.beta, init, u0, u1)
         summary_rows.append((t, float(u0.mean()), float(u1.mean()),
                              float(np.abs(resid).max())))
     last = summary_rows[-1]
@@ -120,21 +111,18 @@ def _cmd_final(config: ExperimentConfig):
     rho0, rho1 = parse_profile_pair(grid, config.rho0, config.rho1)
     result = solve_final_density(kernel, config.beta,
                                  DensityField(grid, rho0, rho1), tol=config.tol)
-    rho = result.rho.ravel()
     print(f"converged in {result.iterations} iterations "
           f"(last update {result.residual:.3e}); "
-          f"mean rho_final = {rho.mean():.6f}")
-    rows = [(site, rho0.ravel()[site], rho1.ravel()[site], rho[site])
-            for site in range(grid.n_sites)]
+          f"mean rho_final = {result.rho.mean():.6f}")
     return {"final_density.csv": (["site_index", "rho0", "rho1", "rho_final"],
-                                  rows)}, {
+                                  _site_rows(rho0, rho1, result.rho))}, {
         "realized.final_density.iterations": str(result.iterations),
         "realized.final_density.residual": FLOAT_FMT % result.residual}
 
 
 def _cmd_meanfield(config: ExperimentConfig):
-    rho0 = _scalar(config.rho0, "rho0")
-    rho1 = _scalar(config.rho1, "rho1")
+    rho0 = parse_uniform(config.rho0, "rho0")
+    rho1 = parse_uniform(config.rho1, "rho1")
     rows = []
     for beta in config.betas:
         x_inf = final_size(beta, rho0, rho1)
@@ -180,20 +168,16 @@ def _cmd_infer(config: ExperimentConfig):
     if config.mode in ("beta", "both"):
         region = rho0 >= 1.0 - 1e-12
         estimate = infer_beta(kernel, rho, region)
-        tables["inferred_beta.csv"] = (
-            ["site_index", "beta_site"],
-            [(site, estimate.per_site.ravel()[site]) for site in range(grid.n_sites)])
+        tables["inferred_beta.csv"] = (["site_index", "beta_site"],
+                                       _site_rows(estimate.per_site))
         print(f"beta_estimate = {estimate.estimate:.12g} "
               f"(spread {estimate.spread:.3e} over {estimate.n_used} sites)")
     if config.mode in ("initial", "both"):
         recovered = infer_initial_infected(kernel, config.beta, rho)
-        r0 = recovered.u0.ravel()
-        r1 = recovered.u1.ravel()
-        tables["inferred_initial.csv"] = (
-            ["site_index", "rho0", "rho1"],
-            [(site, r0[site], r1[site]) for site in range(grid.n_sites)])
-        print(f"recovered initial split: mean rho0 = {r0.mean():.6f}, "
-              f"mean rho1 = {r1.mean():.6f}")
+        tables["inferred_initial.csv"] = (["site_index", "rho0", "rho1"],
+                                          _site_rows(recovered.u0, recovered.u1))
+        print(f"recovered initial split: mean rho0 = {recovered.u0.mean():.6f}, "
+              f"mean rho1 = {recovered.u1.mean():.6f}")
     return tables, {}
 
 

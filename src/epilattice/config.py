@@ -172,12 +172,6 @@ class ExperimentConfig:
                 f"this command needs a single beta, got {len(self.betas)} values")
         return self.betas[0]
 
-    def require_alpha_critical(self) -> float:
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(
-                f"alpha: critical runs need alpha in (0, 1/2), got {self.alpha}")
-        return self.alpha
-
     # -- (de)serialization ---------------------------------------------------
 
     @classmethod
@@ -222,6 +216,15 @@ class ExperimentConfig:
 # profile specs
 # ---------------------------------------------------------------------------
 
+def parse_uniform(spec: str, key: str, forms: str = "<v> | uniform:<v>") -> float:
+    """The value of a uniform profile spec, ``0.3`` or ``uniform:0.3``; any
+    other form is an error whose message lists ``forms``."""
+    head, colon, rest = spec.strip().partition(":")
+    if colon and head.strip().lower() != "uniform":
+        raise ConfigError(f"{key}: expected {forms}, got {spec.strip()!r}")
+    return _parse_float(key, rest if colon else head)
+
+
 def parse_profile(grid: TorusGrid, spec: str, key: str = "profile") -> np.ndarray:
     """Evaluate a profile spec string on a grid.
 
@@ -232,23 +235,19 @@ def parse_profile(grid: TorusGrid, spec: str, key: str = "profile") -> np.ndarra
     is resolved by :func:`parse_profile_pair`, not here.
     """
     spec = spec.strip()
-    if ":" not in spec:
-        return np.full(grid.shape, _parse_float(key, spec))
-    head, _, rest = spec.partition(":")
-    head = head.strip().lower()
-    if head == "uniform":
-        return np.full(grid.shape, _parse_float(key, rest))
-    if head == "bump":
-        parts = _parse_list(key, rest, _parse_float)
-        if len(parts) < 2:
-            raise ConfigError(f"{key}: bump needs height,halfwidth; got {spec!r}")
-        height, halfwidth = parts[0], parts[1]
-        center = parts[2:] if len(parts) > 2 else (0.5,) * grid.d
-        if len(center) != grid.d:
-            raise ConfigError(
-                f"{key}: bump center has {len(center)} coordinates, grid is {grid.d}-dimensional")
-        return cosine_bump(grid, center, halfwidth, height)
-    raise ConfigError(f"{key}: unknown profile form {head!r} in {spec!r}")
+    head, colon, rest = spec.partition(":")
+    if not colon or head.strip().lower() != "bump":
+        forms = "<v> | uniform:<v> | bump:height,halfwidth[,c0,c1,...]"
+        return np.full(grid.shape, parse_uniform(spec, key, forms))
+    parts = _parse_list(key, rest, _parse_float)
+    if len(parts) < 2:
+        raise ConfigError(f"{key}: bump needs height,halfwidth; got {spec!r}")
+    height, halfwidth = parts[0], parts[1]
+    center = parts[2:] if len(parts) > 2 else (0.5,) * grid.d
+    if len(center) != grid.d:
+        raise ConfigError(
+            f"{key}: bump center has {len(center)} coordinates, grid is {grid.d}-dimensional")
+    return cosine_bump(grid, center, halfwidth, height)
 
 
 def parse_profile_pair(grid: TorusGrid, rho0_spec: str,

@@ -102,6 +102,9 @@ def build_test_functions(grid: TorusGrid, spec: str) -> np.ndarray:
             raise ConfigError(
                 f"test_functions: expected one | cos:<k> | sin:<k>, got {token!r}")
         freq = _parse_float("test_functions", freq_text)
+        if abs(freq) > grid.L / 2:
+            raise ConfigError(
+                f"test_functions: |k| must be at most L/2 = {grid.L / 2:g}, got {token!r}")
         wave = np.cos if head == "cos" else np.sin
         for axis in range(grid.d):
             funcs.append(wave(2.0 * np.pi * freq * coords[:, axis]))
@@ -165,15 +168,14 @@ def run_hydro_sweep(config: ExperimentConfig) -> HydroResult:
         errs = np.empty((config.replicas, 2))
         for replica in range(config.replicas):
             seed = derive_seed(config.seed, L, replica)
-            state = init_random(kernel, config.beta, rho0, rho1,
-                                make_rng(seed))
+            state = init_random(kernel, config.beta, rho0, rho1, seed)
             samples = run_sampled(state, sample_times, test_funcs)
             emp = np.stack([s.averages for s in samples])
             errs[replica] = np.abs(emp - pde_pairings).max(axis=(0, 2))
             rows.append((L, grid.gamma, replica,
                          float(errs[replica, 0]), float(errs[replica, 1])))
-        q25_0, med0, q75_0 = np.quantile(errs[:, 0], (0.25, 0.5, 0.75))
-        q25_1, med1, q75_1 = np.quantile(errs[:, 1], (0.25, 0.5, 0.75))
+        (q25_0, q25_1), (med0, med1), (q75_0, q75_1) = np.quantile(
+            errs, (0.25, 0.5, 0.75), axis=0)
         summary.append((L, grid.gamma, float(med0), float(q25_0), float(q75_0),
                         float(med1), float(q25_1), float(q75_1)))
         medians[L] = float(np.median(errs.max(axis=1)))
@@ -224,7 +226,9 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     for beta <= 1 and the first positive root of x = e^{beta(x-1)} above
     threshold.
     """
-    alpha = config.require_alpha_critical()
+    alpha = config.alpha
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError(f"alpha: critical runs need alpha in (0, 1/2), got {alpha}")
     if not isinstance(parse_kernel_spec(config.kernel), MeanField):
         raise ConfigError(
             f"critical sweeps are defined for the meanfield kernel, got {config.kernel!r}")
@@ -237,9 +241,6 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
         for L in config.L_values:
             n = L ** config.d
             n_inf = seeded_infected_count(L, config.d, alpha)
-            if not 0 < n_inf <= n:
-                raise ConfigError(
-                    f"alpha = {alpha} gives {n_inf} initial infected at L = {L}")
             realized[L] = n_inf
             finals = np.empty(config.replicas)
             for replica in range(config.replicas):
@@ -287,15 +288,12 @@ def run_simulation(config: ExperimentConfig) -> SimulationOutput:
     attempts = []
     for replica in range(config.replicas):
         seed = derive_seed(config.seed, config.L, replica)
-        rng = make_rng(seed)
         start = time.perf_counter()
-        state = (init_random(kernel, config.beta, rho0, rho1, rng)
+        state = (init_random(kernel, config.beta, rho0, rho1, seed)
                  if config.init == "random"
-                 else init_exact_counts(kernel, config.beta, n_sus, n_inf, rng))
+                 else init_exact_counts(kernel, config.beta, n_sus, n_inf, seed))
         trajectories.append(run_sampled(state, sample_times))
-        if state.n_inf > 0:
-            run_to_absorption(state)
-        x_inf = state.n_sus / grid.n_sites
+        x_inf = run_to_absorption(state).x_inf
         wall_ms = (time.perf_counter() - start) * 1e3
         finals.append((replica, seed, x_inf, state.events, wall_ms))
         attempts.append(state.attempts)

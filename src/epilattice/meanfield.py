@@ -110,15 +110,16 @@ def ode_integrate(params: MeanFieldParams, t_end: float,
     """Integrate the planar system with fixed-step classic Runge-Kutta.
 
     Returns the full step-resolved trajectory including z (removed), so the
-    linear conservation of x + y + z can be checked by the caller.
+    linear conservation of x + y + z can be checked by the caller; at
+    ``t_end = 0`` it is the initial point alone.
     """
     if not 0.0 < dt <= MAX_ODE_DT:
         raise DomainError(f"dt must lie in (0, {MAX_ODE_DT}], got {dt}")
-    if t_end < 0.0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
     beta = params.beta
-    n = max(1, math.ceil(t_end / dt - 1e-12))
-    h = t_end / n if t_end > 0 else dt
+    n = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0 else 0
+    h = t_end / max(n, 1)
 
     def f(u):
         x, y, _ = u
@@ -135,7 +136,7 @@ def ode_integrate(params: MeanFieldParams, t_end: float,
         k4 = f(u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = u
-    t = np.linspace(0.0, t_end if t_end > 0 else h * n, n + 1)
+    t = np.linspace(0.0, t_end, n + 1)
     return MeanFieldTrajectory(t, out[:, 0], out[:, 1], out[:, 2])
 
 
@@ -186,9 +187,7 @@ def peak_infection(params: MeanFieldParams,
         traj = ode_integrate(params, t_end, dt)
         below = np.nonzero(traj.x <= x_star)[0]
         if len(below):
-            j = below[0]
-            if j == 0:
-                return 0.0, y_peak
+            j = below[0]  # >= 1, since x starts at rho0 > x_star
             # linear interpolation of the crossing between steps j-1 and j
             x0, x1 = traj.x[j - 1], traj.x[j]
             frac = (x0 - x_star) / (x0 - x1)
@@ -204,24 +203,20 @@ def peak_infection(params: MeanFieldParams,
 def final_size(beta: float, rho0: float, rho1: float) -> float:
     """Limiting susceptible fraction of the planar system.
 
-    Degenerate cases are exact: rho1 = 0 gives rho0 (nothing happens) and
-    rho0 = 0 gives 0. Otherwise the value is the unique root in (0, rho0) of
+    The value is the root in [0, rho0] of
 
         x = rho0 * exp(-beta * (rho0 + rho1 - x)),
 
-    found by bisection; it is strictly below both rho0 and 1/beta.
+    found by bisection; it is strictly below both rho0 and 1/beta, or 0 at
+    rho0 = 0. At rho1 = 0 nothing happens, so the value is rho0 at any beta.
     """
     MeanFieldParams(beta, rho0, rho1)
-    if rho1 == 0.0:
-        return rho0
-    if rho0 == 0.0:
-        return 0.0
     mass = rho0 + rho1
 
     def f(x):
         return x - rho0 * math.exp(-beta * (mass - x))
 
-    return _bisect(f, 0.0, rho0)
+    return rho0 if rho1 == 0.0 else _bisect(f, 0.0, rho0)
 
 
 def hat_x_infinity(beta: float) -> HatX:
@@ -271,8 +266,6 @@ def rho0_from_final_size(x_inf: float, beta: float) -> float:
     rho0 = x_inf * exp(beta * (1 - x_inf)), increasing on the admissible
     range 0 < x_inf < xinf_max(beta); the endpoints are excluded.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
     if not 0.0 < x_inf < xinf_max(beta):
         raise DomainError(
             f"x_inf = {x_inf} outside (0, {xinf_max(beta):.12g}) for beta = {beta}")

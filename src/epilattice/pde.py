@@ -138,9 +138,9 @@ def integrate_pde(kernel: DiscreteKernel, beta: float, init: DensityField,
 
 def check_sample_times(sample_times: Sequence[float]) -> list[float]:
     """The sample times as floats, which must be nonnegative and strictly
-    increasing; ``run_sampled`` and ``integrate_pde`` share this rule."""
+    increasing (so NaN fails); ``run_sampled`` and ``integrate_pde`` share it."""
     times = [float(s) for s in sample_times]
-    if not times or any(s < 0.0 for s in times) or np.any(np.diff(times) <= 0):
+    if not (times and all(s >= 0.0 for s in times) and np.all(np.diff(times) > 0)):
         raise InvalidProfileError("sample times must be strictly increasing, >= 0")
     return times
 

@@ -180,14 +180,27 @@ def test_nan_profile_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["cos:nan", "cos:inf"])
-def test_nonfinite_test_function_is_a_config_error(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, needle", [
+    ("cos:nan", "must be finite"), ("cos:inf", "must be finite"),
+    ("cos:1e308", "|k| must be at most L/2 = 10,")], ids=["cos:nan", "cos:inf", "cos:1e308"])
+def test_nonfinite_test_function_is_a_config_error(tmp_path, capsys, bad, needle):
     config = _write_config(tmp_path, "hydro.txt", L=20, beta=2.0, rho0=0.9,
                            rho1=0.1, t_end=1, samples=2,
                            test_functions=f"one,{bad}")
     out = tmp_path / "out"
     assert main(["hydro-sweep", "--config", config, "--out", str(out)]) == 2
-    assert "test_functions: must be finite" in capsys.readouterr().err
+    assert f"test_functions: {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, spec, needle", [("pde", "wave:0.2", "bump:"),
+                                                   ("meanfield", "bump:0.5,0.2", "uniform:")])
+def test_unknown_profile_form_is_a_config_error(tmp_path, capsys, command, spec, needle):
+    config = _write_config(tmp_path, "bad.txt", L=16, beta=2.0, rho0=spec, rho1=0.01)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rho0" in err and needle in err
     assert not out.exists()
 
 

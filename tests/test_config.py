@@ -10,6 +10,7 @@ from epilattice.config import (
     parse_kv_text,
     parse_profile,
     parse_profile_pair,
+    parse_uniform,
 )
 from epilattice.errors import ConfigError, IoError
 
@@ -184,6 +185,23 @@ def test_profile_bump_2d_center_dims():
 def test_profile_errors(bad):
     with pytest.raises(ConfigError):
         parse_profile(TorusGrid(1, 8), bad)
+
+
+@pytest.mark.parametrize("spec", ["0.3", "uniform:0.3", " Uniform:0.3 "])
+def test_parse_uniform_reads_both_spellings(spec):
+    assert parse_uniform(spec, "rho0") == 0.3
+
+
+@pytest.mark.parametrize("bad", ["bump:0.5,0.2", "complement", "nan"])
+def test_parse_uniform_rejects_other_forms(bad):
+    with pytest.raises(ConfigError, match="rho1"):
+        parse_uniform(bad, "rho1")
+
+
+def test_profile_unknown_form_names_the_bump_form():
+    with pytest.raises(ConfigError, match="bump:") as info:
+        parse_profile(TorusGrid(1, 8), "wave:0.2", "rho0")
+    assert "wave:0.2" in str(info.value)
 
 
 def test_profile_pair_complement():

@@ -108,6 +108,16 @@ def test_build_test_functions_errors(bad):
         build_test_functions(grid, bad)
 
 
+def test_build_test_functions_frequency_at_most_half_L():
+    grid = TorusGrid(1, 20)
+    assert build_test_functions(grid, "cos:10,sin:-10").shape == (2, 20)
+    for bad in ("cos:11", "sin:-10.5", "cos:1e308"):
+        with pytest.raises(ConfigError, match="L/2"):
+            build_test_functions(grid, bad)
+    with pytest.raises(ConfigError, match="L/2"):
+        build_test_functions(TorusGrid(2, 6), "one,cos:4")
+
+
 # ---------------------------------------------------------------------------
 # critical sweep
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def test_ode_rejects_bad_dt():
         ode_integrate(MeanFieldParams(1.0, 0.9, 0.1), 1.0, dt=0.2)
 
 
+def test_ode_at_zero_horizon_is_the_initial_point():
+    traj = ode_integrate(MeanFieldParams(2.0, 0.9, 0.1), 0.0)
+    assert traj.t.tolist() == [0.0]
+    assert (traj.x.tolist(), traj.y.tolist(), traj.z.tolist()) == ([0.9], [0.1], [0.0])
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+def test_ode_rejects_nonfinite_or_negative_horizon(t_end):
+    with pytest.raises(DomainError, match="t_end"):
+        ode_integrate(MeanFieldParams(2.0, 0.9, 0.1), t_end)
+
+
 # ---------------------------------------------------------------------------
 # phase plane
 # ---------------------------------------------------------------------------
@@ -144,6 +156,8 @@ def test_final_size_frozen_values():
 def test_final_size_degenerate_cases():
     assert final_size(1.3, 0.75, 0.0) == 0.75
     assert final_size(1.3, 0.0, 0.4) == 0.0
+    # exp(-beta * rho0) underflows to 0, so f(0) is 0 too; rho1 = 0 still gives rho0
+    assert final_size(1000.0, 0.9, 0.0) == 0.9
 
 
 def test_final_size_residual_and_bounds():

@@ -462,6 +462,13 @@ def test_run_sampled_times_validated():
         run_sampled(state, [-1.0, 1.0])
 
 
+def test_run_sampled_rejects_nan_times():
+    state = _mean_field_state()
+    with pytest.raises(InvalidProfileError):
+        run_sampled(state, [0.0, float("nan")])
+    assert state.events == 0  # rejected before any event is drawn
+
+
 def test_run_sampled_fractions_sum_to_one_and_x_monotone():
     kernel = build_kernel(TorusGrid(1, 1000), TopHat(0.07))
     state = init_random(kernel, 2.0, 0.95, 0.03, 31)

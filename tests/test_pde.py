@@ -26,6 +26,7 @@ from epilattice.pde import (
     cosine_bump,
     exp_identity_residual,
     integrate_pde,
+    check_sample_times,
     long_time_limit,
 )
 
@@ -53,6 +54,16 @@ def test_profile_validation():
             DensityField(g, np.zeros(g.shape), bad)
     with pytest.raises(GridMismatchError):
         DensityField(g, np.zeros(17), np.zeros(17))
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [math.nan, 1.0]])
+def test_nan_sample_times_rejected(times):
+    with pytest.raises(InvalidProfileError):
+        check_sample_times(times)
+    g = TorusGrid(1, 16)
+    with pytest.raises(InvalidProfileError):
+        integrate_pde(build_kernel(g, MeanField()), 2.0, DensityField(g, 0.9, 0.1), times)
+    assert check_sample_times([0.0, math.inf]) == [0.0, math.inf]  # +inf stays allowed
 
 
 def test_scalar_profiles_are_uniform():
