@@ -48,8 +48,7 @@ def derive_seed(master: int, *key: int) -> int:
     reproduces the replica's generator via ``make_rng``.
     """
     words = np.random.SeedSequence(master, spawn_key=tuple(key)).generate_state(4)
-    return int.from_bytes(b"".join(int(w).to_bytes(4, "little") for w in words),
-                          "little")
+    return int.from_bytes(words.astype("<u4").tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,8 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
                 events += n_events
                 rows.append((beta, alpha, L, replica, seed, x_inf, target))
             std = float(finals.std(ddof=1)) if config.replicas > 1 else 0.0
-            summary.append((beta, alpha, L, n_inf, float(np.median(finals)),
+            o, r = np.sort(finals), config.replicas  # np.median's value, bit for bit
+            summary.append((beta, alpha, L, n_inf, 0.5 * float(o[(r - 1) // 2] + o[r // 2]),
                             float(finals.mean()), std, target))
     return CriticalResult(rows, summary, realized, events)
 

@@ -27,8 +27,9 @@ event, and a third draws mean-field final sizes alone:
   independent Geometric(q(s)) - 1 draws, one per s, and the run is absorbed
   once the recoveries so far use up the sites infected so far (compare
   Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
-  final count this way, each run by inversion from one exponential, with
-  the law ``run_to_absorption`` realizes but not its stream, and no event loop.
+  final count this way, each run by inversion from one exponential read
+  in blocks sized from the deterministic final size, with the law
+  ``run_to_absorption`` realizes but not its stream, and no event loop.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -48,6 +49,7 @@ Nothing else may draw from the generator while a state runs on it.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
@@ -71,9 +73,9 @@ REMOVED = -1
 #: (``fresh_site_rates``).
 DRIFT_REBUILD_TOL = 1e-9
 
-#: Variates drawn from the generator at a time: uniforms by the thinning
-#: sampler, exponentials by ``absorb_mean_field``; fixed, so that consumption
-#: is a function of (seed, config) alone.
+#: Uniforms the thinning sampler draws from the generator at a time, and the
+#: most exponentials ``absorb_mean_field`` draws at a time; fixed, so that
+#: consumption is a function of (seed, config) alone.
 UNIFORM_BLOCK = 4096
 
 
@@ -442,14 +444,16 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     simulated.
 
     Infection k (k = 0, 1, ...) happens with s = n_sus - k susceptible sites
-    left, after floor(E / log1p(a*s)) recoveries, E standard exponential:
-    Geometric(q(s)) - 1 by inversion (Devroye 1986, ch. X). The run absorbs
-    at the first k whose recoveries so far reach n_inf + k, else at k = n_sus,
-    leaving n_sus - k susceptible sites after n_inf + 2k events. The float64
-    sums are exact integers below n_sites until that k, where monotone
-    rounding cannot drop below n_inf + k; no huge run wraps as in int64.
-    Exponentials are drawn ``UNIFORM_BLOCK`` at a time, up to the block that
-    absorbs.
+    left, after r_k = floor(E / log1p(a*s)) recoveries, E standard
+    exponential: Geometric(q(s)) - 1 by inversion (Devroye 1986, ch. X). The
+    run absorbs at the first k whose sum of r_j - 1 reaches n_inf - 1 (its
+    recoveries reach n_inf + k), else at k = n_sus, leaving n_sus - k
+    susceptible sites after n_inf + 2k events. The float64 sums and the
+    threshold carried across blocks are exact integers below n_sites in size
+    until that k, where monotone rounding cannot drop below the threshold; no
+    huge run wraps as in int64. Blocks hold at most ``UNIFORM_BLOCK`` draws,
+    sized to end near 1.1 k* + 64 (k* the deterministic absorption point),
+    then full; draws are sequential, so the sizes change no result.
     """
     _check_counts(n_sites, n_sus, n_inf)
     if not beta > 0.0:
@@ -457,14 +461,30 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     if n_inf == 0:
         return n_sus, 0
     a = beta / n_sites
-    recovered = 0  # recoveries before infection k0
-    for k0 in range(0, n_sus, UNIFORM_BLOCK):
-        k = np.arange(k0, min(k0 + UNIFORM_BLOCK, n_sus))
-        cum = rng.standard_exponential(k.size) / np.log1p(a * (n_sus - k))
-        np.cumsum(np.floor(cum, out=cum), out=cum)
-        hit = np.flatnonzero(cum >= n_inf + k - recovered)
-        if hit.size:
-            k_end = k0 + int(hit[0])
-            return n_sus - k_end, n_inf + 2 * k_end
-        recovered += int(cum[-1])
+    # k* solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
+    # k/n_sus) that is h(u) = u + a (n_inf + n_sus (1 - e^u)) = 0, h concave,
+    # so Newton steps from the bound u = -a (n_inf + n_sus) rise to the root.
+    u = -a * (n_inf + n_sus)
+    for _ in range(6):
+        g = a * n_sus * math.exp(u)
+        if not g < 1.0:
+            break
+        u -= (u + a * (n_inf + n_sus) - g) / (1.0 - g)
+    k_est = -n_sus * math.expm1(u)
+    end = min(n_sus, math.ceil(1.1 * k_est) + 64) if k_est < n_sus else n_sus
+    need = n_inf - 1.0  # what this block's sum of r_j - 1 must reach
+    for start, stop in ((0, end), (end, operator.index(n_sus))):
+        for k0 in range(start, stop, UNIFORM_BLOCK):
+            m = min(UNIFORM_BLOCK, stop - k0)
+            lam = np.arange(n_sus - k0, n_sus - k0 - m, -1.0)
+            np.log1p(np.multiply(lam, a, out=lam), out=lam)
+            runs = rng.standard_exponential(m)
+            np.floor(np.divide(runs, lam, out=runs), out=runs)
+            runs -= 1.0
+            np.cumsum(runs, out=runs)
+            hit = np.flatnonzero(runs >= need)
+            if hit.size:
+                k_end = k0 + int(hit[0])
+                return n_sus - k_end, n_inf + 2 * k_end
+            need -= runs[-1]
     return 0, n_inf + 2 * n_sus

@@ -161,6 +161,18 @@ def test_golden_critical_sweep():
     assert result.events == 946
 
 
+@pytest.mark.parametrize("replicas", [4, 5])
+def test_critical_summary_median_is_numpys(replicas):
+    # the summary's median is np.median of the cell's x_inf column, bit for bit
+    config = ExperimentConfig(L_values=(50, 100), betas=(0.5, 2.0),
+                              alpha=0.25, replicas=replicas, seed=11)
+    result = run_critical_sweep(config)
+    for beta, _, L, _, median, *_ in result.summary:
+        column = [row[5] for row in result.rows if row[0] == beta and row[2] == L]
+        assert len(column) == replicas
+        assert median == np.median(column)
+
+
 def test_run_critical_sweep_three_dimensions():
     config = ExperimentConfig(d=3, L_values=(6, 10), betas=(0.5, 2.0),
                               alpha=0.25, replicas=4, seed=3)

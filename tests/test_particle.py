@@ -684,6 +684,63 @@ def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
     assert finals() == default
 
 
+@pytest.mark.parametrize("cell", [
+    (10_000, 1.0, 8741, 1259),   # critical
+    (5000, 1.5, 4999, 1),        # one seed: dies out early or breaks out
+    (5000, 1.1, 4999, 1),        # some runs absorb past the sized blocks
+    (100, 150.0, 99, 1),         # every site gets infected
+    (60, 2.0, 50, 10),           # fewer than 64 susceptible sites
+    (100, 2.0, 0, 7),            # none susceptible
+], ids=["critical", "one-seed", "one-seed-near-critical", "all-infected",
+        "few-susceptible", "none-susceptible"])
+def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
+    # the blocks are sized from a deterministic estimate of the absorption
+    # point; where the runs stray far from it the result is still the one a
+    # single block gives
+    results = [absorb_mean_field(*cell, make_rng(seed)) for seed in range(40)]
+    assert results == [_absorb_at_once(*cell, make_rng(seed)) for seed in range(40)]
+    finals = [final for final, _ in results]
+    _, beta, n_sus, n_inf = cell
+    if beta == 1.5:
+        assert min(finals) < 0.7 * n_sus < max(finals)
+    if beta == 150.0:
+        assert finals == [0] * 40
+    if n_sus == 0:
+        rng = make_rng(3)
+        assert absorb_mean_field(*cell, rng) == (0, n_inf)
+        assert _position(rng) == _position(make_rng(3))  # drew nothing
+
+
+def _position(rng):
+    # where a make_rng generator is in its stream: Philox's block counter and
+    # the next word of its buffered block
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+def test_absorb_mean_field_draws_less_than_a_block_on_a_small_subcritical_cell():
+    # beta = 0.8, L = 100 in d = 2 with round(L^1.55) infected sites absorbs
+    # near k = 2,000, so a full first block of UNIFORM_BLOCK exponentials
+    # would leave about half of them unread
+    n, n_inf = 10_000, round(100 ** 1.55)
+    for seed in range(3):
+        rng, twin = make_rng(seed), make_rng(seed)
+        final, _ = absorb_mean_field(n, 0.8, n - n_inf, n_inf, rng)
+        drawn = 0  # exponentials the twin has drawn
+        while _position(twin) != _position(rng) and drawn <= UNIFORM_BLOCK:
+            twin.standard_exponential()
+            drawn += 1
+        # it read one run per infection up to the absorbing one
+        assert n - n_inf - final < drawn < UNIFORM_BLOCK
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("n_sites, n_sus", [(100, 60.5), (5000, 1000.5)])
+def test_absorb_mean_field_rejects_a_non_integer_count(n_sites, n_sus):
+    with pytest.raises(TypeError):
+        absorb_mean_field(n_sites, 2.0, n_sus, 10, make_rng(0))
+
+
 def test_absorb_mean_field_edge_cases():
     rng, twin = make_rng(5), make_rng(5)
     assert absorb_mean_field(100, 2.0, 0, 7, rng) == (0, 7)  # pure decay
