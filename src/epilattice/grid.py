@@ -191,11 +191,6 @@ class DiscreteKernel:
     def support_size(self) -> int:
         return self.grid.n_sites if self.uniform else len(self.weights)
 
-    def weight_at(self, z) -> float:
-        """Weight of an arbitrary displacement (any residue representative)."""
-        z = np.atleast_1d(np.asarray(z, dtype=int))
-        return float(self.dense[tuple(z % self.grid.L)])
-
     # -- structural checks --------------------------------------------------
 
     def validate(self) -> None:

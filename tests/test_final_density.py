@@ -16,7 +16,7 @@ from epilattice.final_density import (
     infer_initial_infected,
     solve_final_density,
 )
-from epilattice.meanfield import final_size
+from epilattice.meanfield import final_size, hat_x_infinity
 from epilattice.pde import DensityField, cosine_bump, long_time_limit
 
 
@@ -117,6 +117,35 @@ def test_relaxed_solve_matches_plain_iteration(g, spec, beta, radius, level, slo
     assert res.residual < 1e-14
     if slow:
         assert res.iterations < plain_iterations
+
+
+@pytest.mark.parametrize("g, spec, beta, radius, level, ceiling", [
+    (TorusGrid(2, 32), WrappedBump(0.15), 1.5, 0.25, 0.3, 30),
+    (TorusGrid(1, 200), TopHat(0.05), 1.02, 0.3, 0.2, 150),
+    (TorusGrid(2, 64), WrappedBump(0.06), 1.0, 0.25, 0.5, 110),
+])
+def test_heavy_ball_solve_iteration_ceiling(g, spec, beta, radius, level, ceiling):
+    # the over-relaxed solve took 35, 215 and 164 iterations on these cells
+    k = build_kernel(g, spec)
+    init = _plateau(g, radius, level)
+    reference, _ = _plain_iteration(k, beta, init, 1e-14)
+    res = solve_final_density(k, beta, init, tol=1e-14)
+    assert np.abs(res.rho - reference).max() <= 1e-12
+    assert res.iterations <= ceiling
+
+
+@pytest.mark.parametrize("g, spec", [
+    (TorusGrid(1, 8), MeanField()),
+    (TorusGrid(2, 32), WrappedBump(0.15)),
+    (TorusGrid(1, 200), TopHat(0.05)),
+])
+@pytest.mark.parametrize("beta", [1.05, 1.1, 1.2, 2.0, 4.0])
+def test_no_initial_infecteds_reaches_least_fixed_point(g, spec, beta):
+    # with rho1 = 0, rho0 = 1 is itself a fixed point; a momentum step
+    # clipped at rho0 must not stop there instead of at hat_x
+    k = build_kernel(g, spec)
+    res = solve_final_density(k, beta, DensityField(g, 1.0, 0.0), tol=1e-13)
+    assert np.abs(res.rho - hat_x_infinity(beta)[0]).max() <= 1e-11
 
 
 def test_no_convergence_at_critical_double_root():
