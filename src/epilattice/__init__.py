@@ -17,7 +17,6 @@ from .grid import (
     WrappedBump,
     build_kernel,
     convolve,
-    format_kernel_spec,
     parse_kernel_spec,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "WrappedBump",
     "build_kernel",
     "convolve",
-    "format_kernel_spec",
     "parse_kernel_spec",
     "__version__",
 ]

@@ -22,14 +22,13 @@ and their columns; only the command line (``cli``) renders and writes them.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, _parse_float, _parse_int, parse_profile_pair
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .grid import MeanField, TorusGrid, build_kernel, parse_kernel_spec
 from .meanfield import hat_x_infinity
 from .particle import (absorb_mean_field, init_exact_counts, init_random, make_rng,
@@ -49,32 +48,6 @@ def derive_seed(master: int, *key: int) -> int:
     """
     words = np.random.SeedSequence(master, spawn_key=tuple(key)).generate_state(4)
     return int.from_bytes(words.astype("<u4").tobytes(), "little")
-
-
-# ---------------------------------------------------------------------------
-# linearized early-time benchmark
-# ---------------------------------------------------------------------------
-
-def linearized_trajectory(beta: float, alpha: float, gamma: float, t):
-    """Closed-form small-infection approximation with growth rate beta - 1.
-
-    y(t) = gamma^alpha e^{(beta-1)t} and the matching x(t) integrate the
-    constant-susceptible-density approximation of the dynamics; t_c is the
-    time at which the approximated infected mass reaches order one.
-    Returns (x, y, t_c) at time(s) t.
-    """
-    if beta == 1.0:
-        raise DomainError("linearized trajectory undefined at beta = 1")
-    if not 0 < gamma <= 1:
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    b = float(beta)
-    seed_fraction = gamma ** alpha
-    t_c = alpha / (beta - 1.0) * math.log(1.0 / gamma)
-    growth = np.exp((b - 1.0) * np.asarray(t, dtype=float))
-    x = 1.0 - b / (b - 1.0) * seed_fraction * growth + seed_fraction / (b - 1.0)
-    return x, seed_fraction * growth, t_c
 
 
 # ---------------------------------------------------------------------------

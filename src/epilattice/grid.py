@@ -133,17 +133,6 @@ def parse_kernel_spec(text: str) -> KernelSpec:
     raise InvalidSpecError(f"unknown kernel {text!r}")
 
 
-def format_kernel_spec(spec: KernelSpec) -> str:
-    """Canonical config-file form; inverse of :func:`parse_kernel_spec`."""
-    if isinstance(spec, MeanField):
-        return "meanfield"
-    if isinstance(spec, TopHat):
-        return f"tophat:{spec.radius:.17g}"
-    if isinstance(spec, WrappedBump):
-        return f"bump:{spec.width:.17g}"
-    raise InvalidSpecError(f"unknown kernel spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # discretized kernels
 # ---------------------------------------------------------------------------

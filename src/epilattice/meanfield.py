@@ -283,18 +283,3 @@ def beta_from_final_size(x_inf: float, rho0: float) -> float:
     if not 0.0 < x_inf < rho0:
         raise DomainError(f"x_inf = {x_inf} outside (0, rho0 = {rho0})")
     return (math.log(x_inf) - math.log(rho0)) / (x_inf - 1.0)
-
-
-def rho0_from_beta(beta: float, x_inf: float) -> float:
-    """Initial susceptible fraction as a function of beta at fixed final size.
-
-    Same expression as :func:`rho0_from_final_size`, seen as a function of
-    beta on 0 < beta < log(x_inf) / (x_inf - 1), where rho0 stays below 1.
-    """
-    if not 0.0 < x_inf < 1.0:
-        raise DomainError(f"x_inf must lie in (0, 1), got {x_inf}")
-    beta_sup = math.log(x_inf) / (x_inf - 1.0)
-    if not 0.0 < beta < beta_sup:
-        raise DomainError(
-            f"beta = {beta} outside (0, {beta_sup:.12g}) for x_inf = {x_inf}")
-    return x_inf * math.exp(beta * (1.0 - x_inf))

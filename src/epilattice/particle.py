@@ -43,8 +43,10 @@ fixed per-event order, so a run is bit-reproducible from (seed, config).
 The state owns its generator: the thinning path reads uniforms by index
 from blocks of ``UNIFORM_BLOCK``, and the mean-field path draws registry
 slots exactly as ``Generator.integers`` does, but inline from the bit
-generator's raw words, holding the buffered 32-bit half-word itself.
-Nothing else may draw from the generator while a state runs on it.
+generator's raw words. It takes a buffered 32-bit half-word out of the
+generator when it is built and holds it itself, so the generator never
+serves that word a second time. Nothing else may draw from the generator
+while a state runs on it.
 """
 from __future__ import annotations
 
@@ -154,14 +156,17 @@ class EpidemicState:
             self._sus_sites = np.flatnonzero(sus).tolist()
             self._unit_rate = self.beta * grid.cell_volume()
             # Registry slots are drawn as Generator.integers(n) draws them,
-            # but inline from raw 64-bit words; the state takes over the
-            # generator's buffered 32-bit half-word. Generators without one
-            # (MT19937 has 32-bit raw words) keep calling integers, as do
-            # grids over 2**32 sites, where integers switches to 64-bit draws.
+            # but inline from raw 64-bit words; the state takes the
+            # generator's buffered 32-bit half-word out of it, so the word is
+            # served once. Generators without one (MT19937 has 32-bit raw
+            # words) keep calling integers, as do grids over 2**32 sites,
+            # where integers switches to 64-bit draws.
             bit_state = rng.bit_generator.state
             if "has_uint32" in bit_state and grid.n_sites <= 2**32:
-                self._raw = rng.bit_generator.random_raw
-                self._half = bit_state["uinteger"] if bit_state["has_uint32"] else None
+                self._raw, self._half = rng.bit_generator.random_raw, None
+                if bit_state["has_uint32"]:
+                    self._half, bit_state["has_uint32"] = bit_state["uinteger"], 0
+                    rng.bit_generator.state = bit_state
             else:
                 self._raw = self._half = None
         else:
@@ -170,12 +175,6 @@ class EpidemicState:
             self._uniforms, self._next_uniform = [], 0  # a block, next unread index
 
     # -- rates ---------------------------------------------------------------
-
-    def infection_rate_total(self) -> float:
-        """Total rate of the infection channel."""
-        if self.uniform_path:
-            return self._unit_rate * self.n_sus * self.n_inf
-        return float(self.site_rates().sum())
 
     def site_rates(self) -> np.ndarray:
         """Per-site infection rates from the infected registry, in one pass.
@@ -263,11 +262,6 @@ def init_exact_counts(kernel: DiscreteKernel, beta: float, n_sus: int,
 # ---------------------------------------------------------------------------
 # dynamics
 # ---------------------------------------------------------------------------
-
-def total_rate(state: EpidemicState) -> float:
-    """Current total jump rate (recoveries at 1 each plus infections)."""
-    return state.n_inf + state.infection_rate_total()
-
 
 def _advance(state: EpidemicState, t_stop: float, event=None):
     """Draw and commit events until one would reach time ``t_stop``; return

@@ -108,9 +108,10 @@ def _deriv(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
 def _check_step(t: float, u0, u1, prev_u0, prev_v) -> np.ndarray:
     """Check the structural bounds of one step; returns v = u0 + u1."""
     v = u0 + u1
-    worst = max(-u0.min(), -u1.min(), (u0 - prev_u0).max(),
-                (v - prev_v).max(), v.max() - 1.0)
-    if worst > STABILITY_TOL:
+    # v is NaN where either density is, and max keeps a NaN only in front
+    worst = max(v.max() - 1.0, -u0.min(), -u1.min(), (u0 - prev_u0).max(),
+                (v - prev_v).max())
+    if not worst <= STABILITY_TOL:
         raise StabilityViolationError(
             f"structural bound breached by {worst:.3e} at t = {t:.6g}")
     return v

@@ -315,6 +315,18 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_overflowing_beta(tmp_path, capsys):
+    # beta = 1e300 passes the config check but turns the densities into NaN
+    config = _write_config(tmp_path, "huge.txt", d=1, L=20, kernel="tophat:0.2",
+                           beta=1e300, rho0=0.7, rho1=0.3, dt=0.01, t_end=1,
+                           samples=2)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["pde", "--config", config, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "pde", "final", "hydro-sweep"])
 def test_grid_commands_reject_four_dimensions(tmp_path, capsys, command):
     config = _write_config(tmp_path, "d4.txt", d=4, L=3, beta=2.0, rho0=0.9,

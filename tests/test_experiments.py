@@ -1,4 +1,4 @@
-"""Sweep orchestration: seeds, linearized benchmark, observables, outputs."""
+"""Sweep orchestration: seeds, observables, outputs."""
 import math
 
 import numpy as np
@@ -7,13 +7,12 @@ import pytest
 from epilattice import MeanField, TorusGrid, build_kernel
 from epilattice.cli import _csv_text, _manifest_text, _write_run
 from epilattice.config import ExperimentConfig
-from epilattice.errors import ConfigError, DomainError
+from epilattice.errors import ConfigError
 from epilattice.experiments import (
     CriticalResult,
     HydroResult,
     build_test_functions,
     derive_seed,
-    linearized_trajectory,
     run_critical_sweep,
     run_hydro_sweep,
     run_simulation,
@@ -34,45 +33,6 @@ def test_derive_seed_deterministic_and_distinct():
     assert len(seeds) == 100  # no collisions across the key lattice
     assert derive_seed(7, 100, 3) != derive_seed(8, 100, 3)
     assert all(0 <= s < 2**128 for s in seeds)
-
-
-# ---------------------------------------------------------------------------
-# linearized benchmark
-# ---------------------------------------------------------------------------
-
-def test_linearized_initial_point():
-    gamma, alpha = 1e-4, 0.25
-    x, y, t_c = linearized_trajectory(2.0, alpha, gamma, 0.0)
-    assert x == pytest.approx(1.0 - gamma**alpha, abs=1e-15)
-    assert y == pytest.approx(gamma**alpha, abs=1e-15)
-
-
-def test_linearized_critical_time():
-    # alpha/(beta-1) * ln(1/gamma) at beta=2, alpha=0.25, gamma=1e-4
-    _, _, t_c = linearized_trajectory(2.0, 0.25, 1e-4, 0.0)
-    assert t_c == pytest.approx(2.3025850929940457, abs=1e-15)
-    _, y_at_tc, _ = linearized_trajectory(2.0, 0.25, 1e-4, t_c)
-    assert y_at_tc == pytest.approx(1.0, abs=1e-12)
-
-
-def test_linearized_vectorized_and_consistent():
-    t = np.linspace(0.0, 2.0, 201)
-    beta = 1.5
-    x, y, _ = linearized_trajectory(beta, 0.3, 1e-3, t)
-    assert x.shape == t.shape
-    # the pair solves x' = -beta*y with frozen susceptible density: check
-    # the closed forms against a central difference (interior points)
-    dx = np.gradient(x, t)[1:-1]
-    np.testing.assert_allclose(dx, -beta * y[1:-1], rtol=1e-4)
-
-
-def test_linearized_domain_errors():
-    with pytest.raises(DomainError):
-        linearized_trajectory(1.0, 0.25, 1e-4, 0.0)
-    with pytest.raises(DomainError):
-        linearized_trajectory(2.0, -0.1, 1e-4, 0.0)
-    with pytest.raises(DomainError):
-        linearized_trajectory(2.0, 0.25, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

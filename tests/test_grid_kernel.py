@@ -11,7 +11,6 @@ from epilattice import (
     WrappedBump,
     build_kernel,
     convolve,
-    format_kernel_spec,
     parse_kernel_spec,
 )
 from epilattice.errors import (
@@ -173,9 +172,9 @@ def test_kernel_structural_invariants_randomized():
 
 
 def test_kernel_spec_string_round_trip():
-    for text in ("meanfield", "tophat:0.25", "bump:0.125"):
-        spec = parse_kernel_spec(text)
-        assert parse_kernel_spec(format_kernel_spec(spec)) == spec
+    for text, spec in (("meanfield", MeanField()), ("tophat:0.25", TopHat(0.25)),
+                       ("bump:0.125", WrappedBump(0.125))):
+        assert parse_kernel_spec(text) == spec
     for bad in ("gauss:1", "tophat", "tophat:x", "meanfield:1"):
         with pytest.raises(InvalidSpecError):
             parse_kernel_spec(bad)

@@ -19,7 +19,6 @@ from epilattice.meanfield import (
     ode_integrate,
     peak_infection,
     phase_curve,
-    rho0_from_beta,
     rho0_from_final_size,
     xinf_max,
 )
@@ -202,7 +201,7 @@ def test_xinf_max_identity_with_hat_x():
 def test_inversion_frozen_values():
     assert abs(rho0_from_final_size(0.1, 2.0) - 0.60496474644129461) <= 1e-14
     assert abs(beta_from_final_size(0.25, 0.5) - 0.92419624074659375) <= 1e-14
-    assert abs(rho0_from_beta(1.2, 0.3) - 0.69491009303432752) <= 1e-14
+    assert abs(rho0_from_final_size(0.3, 1.2) - 0.69491009303432752) <= 1e-14
 
 
 def test_inversion_round_trips_through_final_size():
@@ -213,7 +212,6 @@ def test_inversion_round_trips_through_final_size():
         x = final_size(beta, r0, 1.0 - r0)
         assert abs(rho0_from_final_size(x, beta) - r0) <= 1e-9
         assert abs(beta_from_final_size(x, r0) - beta) <= 1e-9
-        assert abs(rho0_from_beta(beta, x) - r0) <= 1e-9
 
 
 def test_inversion_domain_errors():
@@ -226,9 +224,7 @@ def test_inversion_domain_errors():
     with pytest.raises(DomainError):
         beta_from_final_size(0.0, 0.5)
     with pytest.raises(DomainError):
-        rho0_from_beta(math.log(0.3) / (0.3 - 1.0), 0.3)  # beta at the sup
-    with pytest.raises(DomainError):
-        rho0_from_beta(1.2, 1.0)
+        rho0_from_final_size(1.0, 1.2)
 
 
 def test_relation_monotonicity():

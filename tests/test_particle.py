@@ -25,7 +25,6 @@ from epilattice.particle import (
     make_rng,
     run_sampled,
     run_to_absorption,
-    total_rate,
 )
 
 
@@ -38,22 +37,6 @@ def _mean_field_state(L=100, beta=2.0, n_sus=90, n_inf=10, seed=1):
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
-
-def test_total_rate_mean_field_exact():
-    # beta*gamma^d*n_s*n_i + n_i = 2*0.01*90*10 + 10 = 28, in exact binary
-    state = _mean_field_state()
-    assert total_rate(state) == 28.0
-    assert state.infection_rate_total() == 18.0
-
-
-def test_mean_field_rate_identity_holds_along_run():
-    state = _mean_field_state(seed=7)
-    unit = state.beta * state.grid.cell_volume()
-    for _ in range(60):
-        gillespie_step(state)
-        expected = unit * state.n_sus * state.n_inf + state.n_inf
-        assert total_rate(state) == expected
-
 
 def test_site_rates_match_definition_mean_field():
     state = _mean_field_state(seed=3)
@@ -75,8 +58,6 @@ def test_rate_cache_audit_after_long_run(d, L, spec, n_events):
     for _ in range(n_events):
         gillespie_step(state)
     assert state.audit_rates() <= 1e-8
-    # the infection channel's total is the sum of the on-demand site rates
-    assert total_rate(state) == state.n_inf + state.site_rates().sum()
 
 
 def _unreached(kernel, eta):
@@ -134,7 +115,7 @@ def test_first_event_law_matches_site_rates():
     kernel = build_kernel(TorusGrid(1, 12), WrappedBump(0.3))
     eta = np.array([0, 0, 1, 0, -1, 0, 0, 0, 1, 1, 0, -1], dtype=np.int8)
     probe = EpidemicState(kernel, 1.7, eta.copy(), make_rng(0))
-    total = total_rate(probe)
+    total = probe.n_inf + probe.site_rates().sum()
     expected = {("infection", x): r / total
                 for x, r in enumerate(probe.site_rates())}
     expected.update({("recovery", x): float(eta[x] == INFECTED) / total
@@ -399,6 +380,27 @@ def test_golden_mean_field_runs_across_generators(bit_generator, prefill, pinned
     run_to_absorption(state)
     assert (state.events, state.attempts, repr(state.time), _sha256(state.eta),
             rng.bit_generator.random_raw()) == pinned
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64,
+                                           np.random.SFC64])
+def test_state_takes_the_buffered_half_word_out_of_the_generator(bit_generator):
+    # the state serves the generator's buffered half-word as a slot draw, so
+    # after one event the generator must continue exactly like a twin that
+    # made the same draws through Generator.integers
+    kernel = build_kernel(TorusGrid(1, 100), MeanField())
+    eta = np.zeros(100, dtype=np.int8)
+    eta[::10] = INFECTED
+    rng, twin = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    rng.integers(5)
+    state = EpidemicState(kernel, 2.0, eta, rng)
+    assert rng.bit_generator.state["has_uint32"] == 0
+    record = gillespie_step(state)
+    twin.integers(5)
+    twin.standard_exponential()
+    twin.random()
+    twin.integers(10 if record.kind == "recovery" else 90)
+    assert np.array_equal(rng.integers(2**31, size=3), twin.integers(2**31, size=3))
 
 
 def _final_state(state):
