@@ -186,9 +186,12 @@ def infer_initial_infected(kernel: DiscreteKernel, beta: float,
     if rho.shape != grid.shape:
         raise GridMismatchError("rho shape does not match the grid")
     _check_final_density(rho)
-    rho0 = rho * np.exp(beta * (1.0 - convolve(kernel, rho)))
+    # a huge beta overflows into inf, and 0 * inf into NaN, which min and
+    # max propagate and the negated test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho0 = rho * np.exp(beta * (1.0 - convolve(kernel, rho)))
     escape = max(float(-rho0.min()), float(rho0.max() - 1.0))
-    if escape > 1e-9:
+    if not escape <= 1e-9:
         raise InconsistentInputError(
             f"recovered rho0 escapes [0, 1] by {escape:.3e}; the profile is "
             f"inconsistent with a fully seeded epidemic at beta = {beta}")

@@ -287,10 +287,13 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
             (the spatial average), direct summation when ``support_size *
             n_sites <= DIRECT_COST_MAX``, and the spectral path otherwise;
             ``direct`` (over a support x sites gather table) and ``fft``
-            force a path.
+            force a path. The spectral path runs ``irfftn(rfftn(field) *
+            kernel._fft)``'s transforms in place in one complex work array,
+            in ``rfftn``'s axis order (another order rounds differently in
+            d = 3), so its result is theirs bit for bit.
 
     Returns:
-        Array of the same shape as ``field``.
+        A new array of the same shape as ``field``.
     """
     grid = kernel.grid
     field = np.asarray(field, dtype=float)
@@ -312,8 +315,12 @@ def convolve(kernel: DiscreteKernel, field: np.ndarray,
         return out.reshape(grid.shape)
 
     if method == "fft":
-        axes = tuple(range(grid.d))
-        spectral = np.fft.rfftn(field, axes=axes) * kernel._fft
-        return np.fft.irfftn(spectral, s=grid.shape, axes=axes)
+        spectral = np.fft.rfft(field)
+        for axis in range(grid.d - 2, -1, -1):
+            np.fft.fft(spectral, axis=axis, out=spectral)
+        spectral *= kernel._fft
+        for axis in range(grid.d - 1):
+            np.fft.ifft(spectral, axis=axis, out=spectral)
+        return np.fft.irfft(spectral, n=grid.L)
 
     raise ValueError(f"unknown convolve method {method!r}")

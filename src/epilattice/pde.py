@@ -146,6 +146,8 @@ def check_sample_times(sample_times: Sequence[float]) -> list[float]:
     return times
 
 
+# a huge beta overflows into inf and NaN, which _check_step rejects
+@np.errstate(over="ignore", invalid="ignore")
 def _run_from(kernel: DiscreteKernel, beta: float, u0: np.ndarray,
               u1: np.ndarray, t: float, times: list[float],
               dt: float) -> PdeRun:

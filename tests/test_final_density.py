@@ -233,6 +233,17 @@ def test_infer_initial_infected_inconsistent():
         infer_initial_infected(k, 1.0, np.full(g.shape, 1.5))
 
 
+def test_infer_initial_infected_rejects_an_overflowing_beta():
+    # exp overflows to inf where K*rho < 1, and 0 * inf is NaN on the
+    # empty stripes; the escape check must catch it, silently
+    g = TorusGrid(2, 16)
+    k = build_kernel(g, WrappedBump(0.2))
+    rho = np.zeros(g.shape)
+    rho[::2] = 0.3
+    with pytest.raises(InconsistentInputError, match="escapes"):
+        infer_initial_infected(k, 1e300, rho)
+
+
 def test_inverse_maps_reject_nan_final_density():
     g = TorusGrid(1, 32)
     k = build_kernel(g, TopHat(0.2))

@@ -265,6 +265,28 @@ def test_direct_and_fft_paths_agree():
         assert np.abs(a - b).max() <= 1e-10
 
 
+@pytest.mark.parametrize("g", [TorusGrid(1, 7), TorusGrid(1, 128),
+                               TorusGrid(2, 15), TorusGrid(2, 16),
+                               TorusGrid(3, 9), TorusGrid(3, 10)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_fft_path_is_the_rfftn_round_trip(g, transposed):
+    k = build_kernel(g, WrappedBump(0.35))
+    f = np.random.default_rng(g.L).random(g.shape)
+    if transposed:
+        f = f.T  # non-contiguous for d >= 2
+    f_before, spectrum_before = f.copy(), k._fft.copy()
+    out = convolve(k, f, "fft")
+    axes = tuple(range(g.d))
+    reference = np.fft.irfftn(np.fft.rfftn(f, axes=axes) * k._fft, s=g.shape, axes=axes)
+    assert np.array_equal(out, reference)
+    assert np.array_equal(f, f_before)
+    assert np.array_equal(k._fft, spectrum_before)
+    # the final-density solver updates the result in place
+    assert out.dtype == np.float64 and out.flags.writeable
+    assert not np.shares_memory(out, f)
+    assert not np.shares_memory(out, k._fft)
+
+
 @pytest.mark.parametrize("g, spec, direct", [
     (TorusGrid(1, 40), TopHat(0.1), True),          # 9 offsets x 40 sites
     (TorusGrid(2, 14), TopHat(0.3), True),          # 57 x 196, a criterion-1 grid
