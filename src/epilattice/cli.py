@@ -36,7 +36,7 @@ from .errors import ConfigError, IoError, NumericsError, SetupError
 from .experiments import run_critical_sweep, run_hydro_sweep, run_simulation
 from .final_density import infer_beta, infer_initial_infected, solve_final_density
 from .grid import TorusGrid, build_kernel, parse_kernel_spec
-from .meanfield import MeanFieldParams, final_size, hat_x_infinity, peak_infection
+from .meanfield import final_size, hat_x_infinity, peak_height
 from .pde import DensityField, exp_identity_residual, integrate_pde
 
 FLOAT_FMT = "%.17g"
@@ -125,13 +125,9 @@ def _cmd_meanfield(config: ExperimentConfig):
     rho1 = parse_uniform(config.rho1, "rho1")
     rows = []
     for beta in config.betas:
-        x_inf = final_size(beta, rho0, rho1)
-        y_peak = math.nan
-        if rho1 > 0:
-            peak = peak_infection(MeanFieldParams(beta, rho0, rho1))
-            if peak is not None:
-                y_peak = peak[1]
-        rows.append((beta, rho0, rho1, x_inf, y_peak, hat_x_infinity(beta).value))
+        y_peak = peak_height(beta, rho0, rho1)
+        rows.append((beta, rho0, rho1, final_size(beta, rho0, rho1),
+                     math.nan if y_peak is None else y_peak, hat_x_infinity(beta)))
     header = ["beta", "rho0", "rho1", "x_inf", "y_peak", "x_hat"]
     print(_csv_text(header, rows), end="")
     return {"meanfield.csv": (header, rows)}, {}

@@ -209,7 +209,7 @@ def run_critical_sweep(config: ExperimentConfig) -> CriticalResult:
     realized: dict[int, int] = {}
     events = 0
     for beta_idx, beta in enumerate(config.betas):
-        target = hat_x_infinity(beta).value
+        target = hat_x_infinity(beta)
         for L in config.L_values:
             n = L ** config.d
             n_inf = seeded_infected_count(L, config.d, alpha)

@@ -10,13 +10,12 @@ started from (rho0, rho1). The removed fraction z obeys z' = y, so x + y + z
 is conserved. Everything in this module is a consequence of this system:
 
 * the phase curve y(x) obtained by dividing the two equations,
-* the infection peak at x = 1/beta (present only when rho0 > 1/beta),
+* the height of the infection peak, reached where x = 1/beta (present
+  only when rho0 > 1/beta),
 * the final susceptible fraction x_inf, the root of
   x = rho0 * exp(-beta * (rho0 + rho1 - x)),
 * the limit of x_inf under vanishing seeding, the first positive root of
-  x = exp(beta * (x - 1)), nontrivial exactly when beta > 1,
-* the one-parameter relations between beta, rho0 and x_inf when
-  rho0 + rho1 = 1.
+  x = exp(beta * (x - 1)), nontrivial exactly when beta > 1.
 """
 from __future__ import annotations
 
@@ -54,17 +53,6 @@ class MeanFieldTrajectory(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-
-
-class HatX(NamedTuple):
-    """Limiting final size under vanishing seeding.
-
-    ``degenerate`` marks beta <= 1, where the only root in (0, 1] is 1 and no
-    epidemic survives the limit.
-    """
-
-    value: float
-    degenerate: bool
 
 
 # ---------------------------------------------------------------------------
@@ -162,38 +150,19 @@ def phase_curve(params: MeanFieldParams, x) -> np.ndarray | float:
     return float(y) if np.isscalar(x) else y
 
 
-def peak_infection(params: MeanFieldParams,
-                   dt: float = 1e-3) -> Optional[tuple[float, float]]:
-    """Time and height of the infection maximum, or None if y only decays.
+def peak_height(beta: float, rho0: float, rho1: float) -> Optional[float]:
+    """Height of the infection maximum, or None if y only decays.
 
-    The peak exists iff rho0 > 1/beta (at the boundary the derivative of y
-    is nonpositive from the start). Its height is closed-form,
+    The peak exists iff rho1 > 0 and rho0 > 1/beta (at the boundary the
+    derivative of y is nonpositive from the start). It is attained where x
+    crosses 1/beta, at the height
 
-        y_peak = rho0 + rho1 - 1/beta - log(beta * rho0)/beta,
-
-    attained where x crosses 1/beta; the crossing time is located on the
-    integrated trajectory by linear interpolation.
+        y_peak = rho0 + rho1 - 1/beta - log(beta * rho0)/beta.
     """
-    if not params.rho1 > 0.0:
-        raise DomainError("peak location needs rho1 > 0")
-    b = params.beta
-    if params.rho0 <= 1.0 / b:
+    MeanFieldParams(beta, rho0, rho1)
+    if rho1 == 0.0 or rho0 <= 1.0 / beta:
         return None
-    y_peak = params.rho0 + params.rho1 - 1.0 / b - math.log(b * params.rho0) / b
-
-    x_star = 1.0 / b
-    t_end = 4.0
-    for _ in range(12):
-        traj = ode_integrate(params, t_end, dt)
-        below = np.nonzero(traj.x <= x_star)[0]
-        if len(below):
-            j = below[0]  # >= 1, since x starts at rho0 > x_star
-            # linear interpolation of the crossing between steps j-1 and j
-            x0, x1 = traj.x[j - 1], traj.x[j]
-            frac = (x0 - x_star) / (x0 - x1)
-            return float(traj.t[j - 1] + frac * (traj.t[j] - traj.t[j - 1])), y_peak
-        t_end *= 2.0
-    raise DomainError("infection peak not reached within the search horizon")
+    return rho0 + rho1 - 1.0 / beta - math.log(beta * rho0) / beta
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +188,22 @@ def final_size(beta: float, rho0: float, rho1: float) -> float:
     return rho0 if rho1 == 0.0 else _bisect(f, 0.0, rho0)
 
 
-def hat_x_infinity(beta: float) -> HatX:
+def hat_x_infinity(beta: float) -> float:
     """First positive root of x = exp(beta * (x - 1)).
 
     For beta > 1 the equation has exactly two roots in (0, 1], the smaller of
-    which is the meaningful limit; for beta <= 1 the only root is 1, returned
-    with the degenerate flag set.
+    which is the meaningful limit; for beta <= 1 the only root is 1, and no
+    epidemic survives the limit.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if beta <= 1.0:
-        return HatX(1.0, True)
+        return 1.0
 
     def f(x):
         return x - math.exp(beta * (x - 1.0))
 
-    return HatX(_bisect(f, 0.0, 1.0 - 1e-9), False)
+    return _bisect(f, 0.0, 1.0 - 1e-9)
 
 
 def xinf_max(beta: float) -> float:
@@ -254,32 +223,3 @@ def xinf_max(beta: float) -> float:
         return x * math.exp(beta * (1.0 - x)) - 1.0
 
     return _bisect(f, 0.0, 1.0 - 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# parameter relations along rho0 + rho1 = 1
-# ---------------------------------------------------------------------------
-
-def rho0_from_final_size(x_inf: float, beta: float) -> float:
-    """Initial susceptible fraction producing a given final size at fixed beta.
-
-    rho0 = x_inf * exp(beta * (1 - x_inf)), increasing on the admissible
-    range 0 < x_inf < xinf_max(beta); the endpoints are excluded.
-    """
-    if not 0.0 < x_inf < xinf_max(beta):
-        raise DomainError(
-            f"x_inf = {x_inf} outside (0, {xinf_max(beta):.12g}) for beta = {beta}")
-    return x_inf * math.exp(beta * (1.0 - x_inf))
-
-
-def beta_from_final_size(x_inf: float, rho0: float) -> float:
-    """Infection rate producing a given final size at fixed rho0.
-
-    beta = (log x_inf - log rho0) / (x_inf - 1), decreasing on 0 < x_inf <
-    rho0; the endpoints are excluded.
-    """
-    if not 0.0 < rho0 <= 1.0:
-        raise DomainError(f"rho0 must lie in (0, 1], got {rho0}")
-    if not 0.0 < x_inf < rho0:
-        raise DomainError(f"x_inf = {x_inf} outside (0, rho0 = {rho0})")
-    return (math.log(x_inf) - math.log(rho0)) / (x_inf - 1.0)

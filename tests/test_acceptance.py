@@ -24,7 +24,7 @@ from epilattice.meanfield import (
     final_size,
     hat_x_infinity,
     ode_integrate,
-    peak_infection,
+    peak_height,
     phase_curve,
     xinf_max,
 )
@@ -212,7 +212,7 @@ def test_criterion_06_critical_threshold():
 
     # (b) supercritical: median final size near the infinitesimal-seeding root
     sup_median = by_key[(2.0, 10000)][4]
-    target = hat_x_infinity(2.0).value
+    target = hat_x_infinity(2.0)
     assert 0.153 <= sup_median <= 0.253
     _report("criterion 6", f"beta=0.5 medians {sub_medians[0]:.3f} < "
             f"{sub_medians[1]:.3f} < {sub_medians[2]:.3f}; beta=2 median "
@@ -267,15 +267,15 @@ def test_criterion_08_mean_field_identities():
     # the two characterizations of the infinitesimal-seeding root agree
     worst_root = 0.0
     for beta in (1.1, 1.5, 2.0, 3.0):
-        gap = abs(xinf_max(beta) - hat_x_infinity(beta).value)
+        gap = abs(xinf_max(beta) - hat_x_infinity(beta))
         worst_root = max(worst_root, gap)
         assert gap <= 1e-12
 
     # closed-form peak height against the trajectory maximum
     params = MeanFieldParams(2.0, 0.9, 0.1)
-    peak = peak_infection(params, dt=1e-4)
+    peak = peak_height(2.0, 0.9, 0.1)
     traj = ode_integrate(params, 10.0, dt=1e-4)
-    gap_peak = abs(peak[1] - float(traj.y.max()))
+    gap_peak = abs(peak - float(traj.y.max()))
     assert gap_peak <= 1e-4
     _report("criterion 8", f"phase drift {worst_conservation:.2e}, root gap "
             f"{worst_root:.2e}, peak vs trajectory {gap_peak:.2e}")

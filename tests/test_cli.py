@@ -1,4 +1,8 @@
 """``epi`` command line: subcommands, file contracts, exit codes."""
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,6 +214,30 @@ def test_meanfield_writes_file_with_out(tmp_path):
     assert main(["meanfield", "--config", config, "--out", str(out)]) == 0
     assert (out / "meanfield.csv").read_text().startswith(
         "beta,rho0,rho1,x_inf,y_peak,x_hat\n")
+
+
+def test_meanfield_readme_session_is_byte_identical(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = re.search(r"printf '([^']*)' > mf\.txt\n"
+                        r"epi meanfield --config mf\.txt\n((?:# .*\n)+)", readme)
+    assert session is not None, "README's epi meanfield session not found"
+    config = tmp_path / "mf.txt"
+    config.write_text(session.group(1).replace("\\n", "\n"))
+    assert main(["meanfield", "--config", str(config)]) == 0
+    expected = [line[2:] for line in session.group(2).splitlines()]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_meanfield_peak_just_above_threshold(tmp_path, capsys):
+    # growing at rate beta*rho0 - 1 = 9e-5 from 1e-12, y peaks only after
+    # about 10^5 time units; the height must not wait for the peak's time
+    beta, rho0, rho1 = 1.0001, 0.99999, 1e-12
+    config = _write_config(tmp_path, "mf.txt", beta=beta, rho0=rho0, rho1=rho1)
+    assert main(["meanfield", "--config", config]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    y_peak = dict(zip(header.split(","), row.split(",")))["y_peak"]
+    closed_form = rho0 + rho1 - 1.0 / beta - math.log(beta * rho0) / beta
+    assert y_peak == cli.FLOAT_FMT % closed_form
 
 
 # ---------------------------------------------------------------------------

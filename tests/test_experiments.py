@@ -99,7 +99,7 @@ def test_run_critical_sweep_small():
                                100: 32}
     for beta, alpha, L, replica, seed, x_inf, target in result.rows:
         assert 0.0 <= x_inf <= 1.0
-        assert target == (1.0 if beta <= 1 else hat_x_infinity(beta).value)
+        assert target == (1.0 if beta <= 1 else hat_x_infinity(beta))
         assert seed == derive_seed(3, [0.5, 2.0].index(beta), L, replica)
     # deterministic
     again = run_critical_sweep(config)

@@ -145,7 +145,7 @@ def test_no_initial_infecteds_reaches_least_fixed_point(g, spec, beta):
     # clipped at rho0 must not stop there instead of at hat_x
     k = build_kernel(g, spec)
     res = solve_final_density(k, beta, DensityField(g, 1.0, 0.0), tol=1e-13)
-    assert np.abs(res.rho - hat_x_infinity(beta)[0]).max() <= 1e-11
+    assert np.abs(res.rho - hat_x_infinity(beta)).max() <= 1e-11
 
 
 def test_no_convergence_at_critical_double_root():

@@ -1,4 +1,4 @@
-"""Planar mean-field system: trajectory, phase curve, final sizes, inversions.
+"""Planar mean-field system: trajectory, phase curve, peak height, final sizes.
 
 Numeric literals were computed independently with mpmath (40 digits) by
 bisection on the defining equations; see the tolerances at the assertions.
@@ -13,13 +13,11 @@ import pytest
 from epilattice.errors import DomainError, InvalidProfileError
 from epilattice.meanfield import (
     MeanFieldParams,
-    beta_from_final_size,
     final_size,
     hat_x_infinity,
     ode_integrate,
-    peak_infection,
+    peak_height,
     phase_curve,
-    rho0_from_final_size,
     xinf_max,
 )
 
@@ -120,22 +118,20 @@ def test_phase_curve_follows_trajectory():
     assert np.abs(phase_curve(p, traj.x) - traj.y).max() <= 1e-7
 
 
-def test_peak_infection_frozen_value():
-    t_peak, y_peak = peak_infection(MeanFieldParams(2.0, 0.99, 0.01))
+def test_peak_height_frozen_value():
+    y_peak = peak_height(2.0, 0.99, 0.01)
     assert abs(y_peak - 0.15845157764677807) <= 1e-14
     traj = ode_integrate(MeanFieldParams(2.0, 0.99, 0.01), 12.0)
     assert abs(traj.y.max() - y_peak) <= 1e-4
-    # the trajectory peaks where x crosses 1/beta
-    assert abs(traj.t[np.argmax(traj.y)] - t_peak) <= 0.01
 
 
 def test_peak_absent_at_or_below_threshold():
-    assert peak_infection(MeanFieldParams(2.0, 0.5, 0.1)) is None
-    assert peak_infection(MeanFieldParams(2.0, 0.3, 0.2)) is None
+    assert peak_height(2.0, 0.5, 0.1) is None
+    assert peak_height(2.0, 0.3, 0.2) is None
     # boundary rho0 == 1/beta counts as absent
-    assert peak_infection(MeanFieldParams(2.0, 0.5, 0.25)) is None
-    with pytest.raises(DomainError):
-        peak_infection(MeanFieldParams(2.0, 0.99, 0.0))
+    assert peak_height(2.0, 0.5, 0.25) is None
+    # with no infected there is no epidemic to peak
+    assert peak_height(2.0, 0.99, 0.0) is None
 
 
 def test_peak_monotone_decay_when_absent():
@@ -174,65 +170,20 @@ def test_final_size_residual_and_bounds():
 def test_hat_x_frozen_values():
     for beta, expected in HAT_X_CASES:
         hat = hat_x_infinity(beta)
-        assert not hat.degenerate
-        assert abs(hat.value - expected) <= 1e-12
-        assert abs(hat.value - math.exp(beta * (hat.value - 1.0))) <= 1e-12
+        assert hat < 1.0
+        assert abs(hat - expected) <= 1e-12
+        assert abs(hat - math.exp(beta * (hat - 1.0))) <= 1e-12
 
 
 def test_hat_x_degenerate_below_critical():
     for beta in (0.3, 0.9, 1.0):
-        hat = hat_x_infinity(beta)
-        assert hat.value == 1.0 and hat.degenerate
+        assert hat_x_infinity(beta) == 1.0
 
 
 def test_xinf_max_identity_with_hat_x():
     for beta in (1.1, 1.5, 2.0, 3.0):
         xm = xinf_max(beta)
         assert abs(xm * math.exp(beta * (1.0 - xm)) - 1.0) <= 1e-12
-        assert abs(xm - hat_x_infinity(beta).value) <= 1e-12
+        assert abs(xm - hat_x_infinity(beta)) <= 1e-12
     assert xinf_max(0.7) == 1.0
     assert xinf_max(1.0) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# parameter relations
-# ---------------------------------------------------------------------------
-
-def test_inversion_frozen_values():
-    assert abs(rho0_from_final_size(0.1, 2.0) - 0.60496474644129461) <= 1e-14
-    assert abs(beta_from_final_size(0.25, 0.5) - 0.92419624074659375) <= 1e-14
-    assert abs(rho0_from_final_size(0.3, 1.2) - 0.69491009303432752) <= 1e-14
-
-
-def test_inversion_round_trips_through_final_size():
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        beta = float(rng.uniform(0.3, 3.0))
-        r0 = float(rng.uniform(0.2, 0.995))
-        x = final_size(beta, r0, 1.0 - r0)
-        assert abs(rho0_from_final_size(x, beta) - r0) <= 1e-9
-        assert abs(beta_from_final_size(x, r0) - beta) <= 1e-9
-
-
-def test_inversion_domain_errors():
-    with pytest.raises(DomainError):
-        rho0_from_final_size(xinf_max(2.0), 2.0)  # closed endpoint
-    with pytest.raises(DomainError):
-        rho0_from_final_size(0.0, 2.0)
-    with pytest.raises(DomainError):
-        beta_from_final_size(0.5, 0.5)  # x_inf == rho0
-    with pytest.raises(DomainError):
-        beta_from_final_size(0.0, 0.5)
-    with pytest.raises(DomainError):
-        rho0_from_final_size(1.0, 1.2)
-
-
-def test_relation_monotonicity():
-    beta = 1.8
-    xs = np.linspace(0.02, xinf_max(beta) - 0.02, 30)
-    r0s = [rho0_from_final_size(float(x), beta) for x in xs]
-    assert np.all(np.diff(r0s) > 0.0)
-    rho0 = 0.9
-    xs = np.linspace(0.05, rho0 - 0.05, 30)
-    betas = [beta_from_final_size(float(x), rho0) for x in xs]
-    assert np.all(np.diff(betas) < 0.0)
