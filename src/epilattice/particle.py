@@ -35,10 +35,13 @@ The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
 removes that entry by moving the last one into its place and popping, so
 add and remove are O(1) and no site-to-slot map is kept. Each sampler
-draws and commits in one loop over locals (``_advance``), and the thinning
-constants are built once per kernel. Per-site rates are computed on demand
-from the infected registry (``site_rates``) and audited against the
-convolution definition (``audit_rates``). Random numbers are consumed in a
+draws and commits in one loop over locals (``_advance``). The thinning
+constants are built once per kernel: the cumulative weights, and the
+haloed site index (``DiscreteKernel._index``), through which an attempt
+finds its target site with one addition and two lookups and no division.
+Per-site rates are computed on demand from the infected registry through
+the same index (``site_rates``) and audited against the convolution
+definition (``audit_rates``). Random numbers are consumed in a
 fixed per-event order, so a run is bit-reproducible from (seed, config).
 The state owns its generator: the thinning path reads uniforms by index
 from blocks of ``UNIFORM_BLOCK``, and the mean-field path draws registry
@@ -187,12 +190,9 @@ class EpidemicState:
         sus = self.eta == SUSCEPTIBLE
         if self.uniform_path:
             return np.where(sus, self._unit_rate * self.n_inf, 0.0)
-        shape = self.grid.shape
-        coords = np.stack(np.unravel_index(
-            np.array(self._inf_sites, dtype=np.int64), shape))
+        pad, site_at, step = self.kernel._index
         # offset-major targets, so each site adds its contributions in offset order
-        targets = np.ravel_multi_index(
-            coords[:, None, :] + self.kernel.offsets.T[:, :, None], shape, mode="wrap")
+        targets = site_at[step[:, None] + pad[self._inf_sites]]
         rates = np.bincount(targets.ravel(), weights=np.repeat(self._contrib, self.n_inf),
                             minlength=self.grid.n_sites)
         # bincount returns integer zeros when no site is infected
@@ -285,10 +285,12 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
         # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
         # rejected attempt leaves the state as it was and only adds its wait.
         # An attempt reads its uniforms from the block at index i: wait,
-        # source slot, recovery test and, for an infection attempt, offset.
+        # source slot, recovery test and, for an infection attempt, offset;
+        # the block is refilled before an attempt that might run past it.
         per_site = 1.0 + state._attempt_rate
-        cum, shifts = state.kernel._thinning
-        cum_total, L, log = cum[-1], state.grid.L, math.log
+        cum = state.kernel._thinning
+        pad, site_at, step = map(memoryview, state.kernel._index)
+        cum_total, log = cum[-1], math.log
         block, i = state._uniforms, state._next_uniform
         size = len(block)
     while n_inf:
@@ -324,22 +326,18 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
         else:
             wait = 0.0
             while True:
-                if i + 3 > size:  # the unread tail stays first in line
+                if i + 4 > size:  # the unread tail stays first in line
                     block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
                     i, size = 0, len(block)
                 wait -= log(1.0 - block[i])
                 slot = int(block[i + 1] * n_inf)
                 site = inf_sites[slot]
                 recovery = block[i + 2] * per_site < 1.0
-                i += 3
                 if recovery:
+                    i += 3
                     break
-                if i == size:
-                    block, i, size = rng.random(UNIFORM_BLOCK).tolist(), 0, UNIFORM_BLOCK
-                source, site = site, 0
-                for stride, step in shifts[bisect_right(cum, block[i] * cum_total)]:
-                    site += ((source // stride + step) % L) * stride
-                i += 1
+                site = site_at[pad[site] + step[bisect_right(cum, block[i + 3] * cum_total)]]
+                i += 4
                 if eta[site] == SUSCEPTIBLE:
                     slot = None
                     break
@@ -405,6 +403,7 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
         test_functions = np.atleast_2d(np.asarray(test_functions, dtype=float))
         if test_functions.shape[1] != state.grid.n_sites:
             raise GridMismatchError("test functions not evaluated on this grid")
+        masks = np.empty((2, state.grid.n_sites))  # both pairings in one product
 
     out: list[TrajectorySample] = []
     event = None  # drawn but uncommitted: the first to reach the sample time
@@ -412,9 +411,10 @@ def run_sampled(state: EpidemicState, sample_times: Sequence[float],
         if event is None or state.time + event[0] < t:
             event = _advance(state, t, event)
         averages = None
-        if test_functions is not None:  # both pairings in one product
-            masks = np.stack([state.eta == SUSCEPTIBLE, state.eta == INFECTED])
-            averages = state.grid.cell_volume() * (masks.astype(float) @ test_functions.T)
+        if test_functions is not None:
+            np.equal(state.eta, SUSCEPTIBLE, out=masks[0], casting="unsafe")
+            np.equal(state.eta, INFECTED, out=masks[1], casting="unsafe")
+            averages = state.grid.cell_volume() * (masks @ test_functions.T)
         out.append(TrajectorySample(t, *state.fractions(), state.events, averages))
     _advance(state, times[-1], event)  # commits the event that crossed times[-1]
     return out

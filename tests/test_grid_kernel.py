@@ -110,7 +110,7 @@ def test_meanfield_kernel_builds_no_arrays_on_its_uniform_paths():
     state = init_random(k, 2.0, 0.9, 0.1, make_rng(5))
     run_sampled(state, [0.0, 1.0, 2.0], np.ones((1, g.n_sites)))
     assert k.support_size == g.n_sites
-    assert not {"offsets", "weights", "dense", "_fft", "_gather"} & set(vars(k))
+    assert not {"offsets", "weights", "dense", "_fft", "_gather", "_index"} & set(vars(k))
     # built on first read, they are the full-grid arrays
     assert np.array_equal(k.offsets, g.centered_offsets())
     assert np.array_equal(k.dense, np.ones(g.shape))
@@ -308,6 +308,35 @@ def test_auto_path_follows_cost_rule(g, spec, direct):
     assert np.array_equal(auto, forced["direct" if direct else "fft"])
     for out in forced.values():
         assert np.abs(out - auto).max() <= 1e-12
+
+
+def _rolled_gather(kernel):
+    """Reference gather table: the site grid rolled once per offset."""
+    base = np.arange(kernel.grid.n_sites).reshape(kernel.grid.shape)
+    axes = tuple(range(kernel.grid.d))
+    return np.array([np.roll(base, shift=tuple(z), axis=axes).ravel()
+                     for z in kernel.offsets])
+
+
+@pytest.mark.parametrize("g", [TorusGrid(1, 40), TorusGrid(1, 41), TorusGrid(2, 14),
+                               TorusGrid(2, 15), TorusGrid(3, 8), TorusGrid(3, 9)],
+                         ids=lambda g: f"d{g.d}-L{g.L}")
+@pytest.mark.parametrize("spec", ["spacing", TopHat(0.3), WrappedBump(0.25), TopHat(0.5),
+                                  MeanField()], ids=str)
+def test_haloed_index_finds_every_neighbour(g, spec):
+    # "spacing": the top-hat whose reach is one lattice spacing
+    k = build_kernel(g, TopHat(g.gamma) if spec == "spacing" else spec)
+    pad, site_at, step = k._index
+    for table in k._index:
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp
+    coords = np.indices(g.shape).reshape(g.d, -1)
+    targets = np.ravel_multi_index(coords[:, None, :] + k.offsets.T[:, :, None],
+                                   g.shape, mode="wrap")
+    assert np.array_equal(site_at[step[:, None] + pad], targets)
+    # the mean-field kernel gathers only when the direct path is forced
+    gather = k._gather
+    assert gather.dtype == np.intp
+    assert np.array_equal(gather, _rolled_gather(k))
 
 
 def test_cached_spectrum_is_the_operator_spectrum():

@@ -284,8 +284,8 @@ def _fingerprint(state):
 _NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
 
 
-@pytest.mark.parametrize("spec, init, mid, end", [
-    (MeanField(),
+@pytest.mark.parametrize("grid, spec, init, mid, end", [
+    (TorusGrid(2, 40), MeanField(),
      lambda k: init_exact_counts(k, 1.5, 1400, 20, 2024),
      (141, 141, "3.0047424516948733",
       "3b7e94514d8432e12dcfc2fa7f42331144e95951b0af31343ca3902ddb00a197",
@@ -293,7 +293,7 @@ _NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
      (726, 726, "15.680309460392797",
       "1efd7dac2d4150ac1f7e118f9d48725fcaf3d076382c65ed02157bb88917cb3c",
       _NO_RATES)),
-    (TopHat(0.1),
+    (TorusGrid(2, 40), TopHat(0.1),
      lambda k: init_random(k, 1.5, 0.85, 0.03, 2024),
      (316, 374, "3.005905071287217",
       "1ec89ad71f21318e2254170b5e1ba30c7994fd1b708340deb6805f8c07ddc433",
@@ -301,11 +301,36 @@ _NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
      (707, 916, "22.838148243186115",
       "fad44a00e3d3ed134576bb5a1c2aa30614ba59ce6efb1b2438d4350652510f5a",
       _NO_RATES)),
-], ids=["mean-field", "thinning"])
-def test_golden_trajectories(spec, init, mid, end):
-    # pinned values of both samplers on a 40 x 40 torus: any change to the
-    # random stream, the draw order or the registry order moves them
-    state = init(build_kernel(TorusGrid(2, 40), spec))
+    (TorusGrid(1, 400), TopHat(0.05),
+     lambda k: init_random(k, 2.0, 0.85, 0.1, 2024),
+     (340, 502, "3.052765348494189",
+      "f1ee51fd6f192b8ef4118b306cbeed40dfdb9ea7758b18cab9399e87652f762f",
+      "6563d434d31ff1e5e84b439dfe9bd86d0f80faa9a8dfb2c2d5d36dac47190e5f"),
+     (448, 713, "7.663447450276518",
+      "feb1c5e2f4c158c0b16ab947127402305b6b51f99948f2e20811d48c0a449600",
+      "5a312281df4bd8dfbb4d4a94ad0bf44d01bb8cfced1206b90e21b4ca0568cdb1")),
+    (TorusGrid(3, 10), TopHat(0.3),
+     lambda k: init_random(k, 1.5, 0.85, 0.03, 2024),
+     (135, 159, "3.025896297019604",
+      "ee4914be77b7b39043529e4a013450088a6d0f3817b4ab3b6c5501277627205e",
+      "c235d1ad693a98eee3492a1bc56c81b73086977b0a63a8f43a59adf599001a86"),
+     (323, 389, "12.529059403215234",
+      "3c92e7b73e167a214944a71c61d5ce4800b113bbcb8ffeed573b34acc84c39bc",
+      "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b")),
+    # reach 7 = L // 2 on an odd grid: every offset but the corners
+    (TorusGrid(2, 15), TopHat(0.5),
+     lambda k: init_random(k, 2.0, 0.85, 0.1, 2024),
+     (207, 284, "3.002044427809629",
+      "430cbff41eefd8ef1378ded4833aac809d5753cfa6231f581e0b00ec9bc3279c",
+      "c725c39fd5e0a8e0aa7fc23f503d4e2f53c0f9f4eb5c4ce880fbbaa85dc85468"),
+     (322, 516, "10.211616550954389",
+      "db29849fb4f9d607e374351faf24415c1b2ee94328ff12436ee265cba91b6f30",
+      "09cec5a5bd8afffbb758753810a20c55ccb06a46d7bf54eda69ecd2ad645ef11")),
+], ids=["mean-field", "thinning", "thinning-d1", "thinning-d3", "thinning-half-torus"])
+def test_golden_trajectories(grid, spec, init, mid, end):
+    # pinned values of both samplers: any change to the random stream, the
+    # draw order or the registry order moves them
+    state = init(build_kernel(grid, spec))
     run_sampled(state, [0.5, 1.5, 3.0])
     assert _fingerprint(state) == mid
     run_to_absorption(state)
