@@ -16,7 +16,10 @@ event, and a third draws mean-field final sizes alone:
   aimed at y + z with probability w[z] / sum(w). An attempt commits only
   when its target is susceptible; a rejected one changes nothing but the
   clock. The proposal rate n_inf * (1 + c) is known exactly, no rate is
-  stored, and a committed event costs at most 1 + c attempts on average;
+  stored, and a committed event costs at most 1 + c attempts on average.
+  After ``REJECTION_STREAK`` rejections in a row (at a huge c they may never
+  end) the event is drawn from the per-site rates instead, exactly, since
+  waits are memoryless;
 * the mean-field kernel makes every susceptible site equivalent — the whole
   infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
   the site is drawn uniformly from a susceptible registry;
@@ -27,9 +30,9 @@ event, and a third draws mean-field final sizes alone:
   independent Geometric(q(s)) - 1 draws, one per s, and the run is absorbed
   once the recoveries so far use up the sites infected so far (compare
   Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
-  final count this way, each run by inversion from one exponential read
-  in blocks sized from the deterministic final size, with the law
-  ``run_to_absorption`` realizes but not its stream, and no event loop.
+  final count this way, each run by inversion from one exponential, with
+  the law ``run_to_absorption`` realizes but not its stream, and no event
+  loop.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -78,10 +81,19 @@ REMOVED = -1
 #: (``fresh_site_rates``).
 DRIFT_REBUILD_TOL = 1e-9
 
-#: Uniforms the thinning sampler draws from the generator at a time, and the
-#: most exponentials ``absorb_mean_field`` draws at a time; fixed, so that
-#: consumption is a function of (seed, config) alone.
+#: Uniforms the thinning sampler draws from the generator at a time; fixed,
+#: so that consumption is a function of (seed, config) alone.
 UNIFORM_BLOCK = 4096
+
+#: Rejected thinning attempts in a row after which the sampler draws the next
+#: event exactly from the per-site rates instead (``_advance``).
+REJECTION_STREAK = 64
+
+#: Most exponentials ``absorb_mean_field`` draws in one call (512 KB).
+EXPONENTIAL_BLOCK = 2**16
+
+#: Recovery runs ``absorb_mean_field`` sums at a time to find its crossing.
+RUN_CHUNK = 64
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -193,8 +205,8 @@ class EpidemicState:
         pad, site_at, step = self.kernel._index
         # offset-major targets, so each site adds its contributions in offset order
         targets = site_at[step[:, None] + pad[self._inf_sites]]
-        rates = np.bincount(targets.ravel(), weights=np.repeat(self._contrib, self.n_inf),
-                            minlength=self.grid.n_sites)
+        weights = np.repeat(self._contrib, len(self._inf_sites))
+        rates = np.bincount(targets.ravel(), weights=weights, minlength=self.grid.n_sites)
         # bincount returns integer zeros when no site is infected
         return np.where(sus, rates, 0.0)
 
@@ -286,11 +298,13 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
         # rejected attempt leaves the state as it was and only adds its wait.
         # An attempt reads its uniforms from the block at index i: wait,
         # source slot, recovery test and, for an infection attempt, offset;
-        # the block is refilled before an attempt that might run past it.
+        # an event drawn from the rates after REJECTION_STREAK rejections
+        # reads three: wait, kind and site. The block is refilled before a
+        # read that might run past it.
         per_site = 1.0 + state._attempt_rate
         cum = state.kernel._thinning
         pad, site_at, step = map(memoryview, state.kernel._index)
-        cum_total, log = cum[-1], math.log
+        cum_total, log, streak = cum[-1], math.log, REJECTION_STREAK
         block, i = state._uniforms, state._next_uniform
         size = len(block)
     while n_inf:
@@ -324,7 +338,7 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
                 slot = m >> 32
             site = registry[slot]
         else:
-            wait = 0.0
+            wait, left = 0.0, streak  # left: rejections until the exact draw
             while True:
                 if i + 4 > size:  # the unread tail stays first in line
                     block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
@@ -342,6 +356,18 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
                     slot = None
                     break
                 attempts += 1
+                left -= 1
+                if not left:
+                    # a long run of rejections: as waits are memoryless, the
+                    # event still to come is drawn from the rates instead
+                    if i + 3 > size:
+                        block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
+                        i, size = 0, len(block)
+                    rate, recovery, site, slot = _draw_from_rates(
+                        state, block[i + 1], block[i + 2])
+                    wait -= log(1.0 - block[i]) * (n_inf * per_site / rate)
+                    i += 3
+                    break
             dt = wait / (n_inf * per_site)
         if event is None and time + dt >= t_stop:
             event = dt, "recovery" if recovery else "infection", site, slot
@@ -373,6 +399,24 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
     state.time, state.events, state.attempts = time, events, attempts
     state.n_sus, state.n_inf, state.n_rem = n_sus, n_inf, n_rem
     return event
+
+
+def _draw_from_rates(state: EpidemicState, u_kind: float, u_pick: float):
+    """(n_inf + R, recovery?, site, slot) of a thinning run's next event,
+    drawn from the per-site rates (total R) without thinning: a recovery
+    w.p. n_inf / (n_inf + R) by ``u_kind``, then ``u_pick`` picks an infected
+    site uniformly or a susceptible one by rate. Reads the registry only."""
+    inf_sites = state._inf_sites
+    n_inf = len(inf_sites)
+    rates = state.site_rates()
+    sites = np.flatnonzero(rates)  # every susceptible site in reach, only those
+    cum = np.cumsum(rates[sites])
+    rate = n_inf + (float(cum[-1]) if sites.size else 0.0)
+    if u_kind * rate < n_inf or not sites.size:
+        slot = int(u_pick * n_inf)
+        return rate, True, inf_sites[slot], slot
+    pick = int(np.searchsorted(cum, u_pick * cum[-1], side="right"))
+    return rate, False, int(sites[min(pick, sites.size - 1)]), None
 
 
 def gillespie_step(state: EpidemicState) -> EventRecord:
@@ -442,12 +486,18 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     exponential: Geometric(q(s)) - 1 by inversion (Devroye 1986, ch. X). The
     run absorbs at the first k whose sum of r_j - 1 reaches n_inf - 1 (its
     recoveries reach n_inf + k), else at k = n_sus, leaving n_sus - k
-    susceptible sites after n_inf + 2k events. The float64 sums and the
-    threshold carried across blocks are exact integers below n_sites in size
-    until that k, where monotone rounding cannot drop below the threshold; no
-    huge run wraps as in int64. Blocks hold at most ``UNIFORM_BLOCK`` draws,
-    sized to end near 1.1 k* + 64 (k* the deterministic absorption point),
-    then full; draws are sequential, so the sizes change no result.
+    susceptible sites after n_inf + 2k events.
+
+    Each of two segments is one draw of at most ``EXPONENTIAL_BLOCK``
+    exponentials: up to k* + 64 + min(0.1 k*, 4 sd of the final count), k*
+    the deterministic absorption point, then the rest; draws are sequential,
+    so the split changes no result. Every r_j - 1 is at least -1, so the
+    chunk of ``RUN_CHUNK`` runs holding the crossing ends at most
+    RUN_CHUNK - 1 below the threshold; the running sum starts at the first
+    chunk that does. Until the crossing every sum, in any order, and the
+    threshold carried across draws are integers below 2 n_sites in size,
+    exact in float64, and at it monotone rounding cannot drop below the
+    threshold: the result is that of exact sums, with no int64 wrap.
     """
     _check_counts(n_sites, n_sus, n_inf)
     if not beta > 0.0:
@@ -465,20 +515,35 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
             break
         u -= (u + a * (n_inf + n_sus) - g) / (1.0 - g)
     k_est = -n_sus * math.expm1(u)
-    end = min(n_sus, math.ceil(1.1 * k_est) + 64) if k_est < n_sus else n_sus
-    need = n_inf - 1.0  # what this block's sum of r_j - 1 must reach
+    end = n_sus
+    if k_est < n_sus:
+        margin, g = 0.1 * k_est, a * (n_sus - k_est)
+        if g < 1.0:
+            # the final count's variance, linearising the threshold
+            # construction at k* (Sellke): threshold and period noise
+            var = (k_est * (1.0 - k_est / n_sus) + g * g * (n_inf + k_est)) / (1.0 - g) ** 2
+            margin = min(margin, 4.0 * math.sqrt(var))
+        end = min(n_sus, math.ceil(k_est + margin) + 64)
+    need = n_inf - 1.0  # what this draw's sum of r_j - 1 must reach
     for start, stop in ((0, end), (end, operator.index(n_sus))):
-        for k0 in range(start, stop, UNIFORM_BLOCK):
-            m = min(UNIFORM_BLOCK, stop - k0)
+        for k0 in range(start, stop, EXPONENTIAL_BLOCK):
+            m = min(EXPONENTIAL_BLOCK, stop - k0)
             lam = np.arange(n_sus - k0, n_sus - k0 - m, -1.0)
             np.log1p(np.multiply(lam, a, out=lam), out=lam)
             runs = rng.standard_exponential(m)
             np.floor(np.divide(runs, lam, out=runs), out=runs)
             runs -= 1.0
-            np.cumsum(runs, out=runs)
-            hit = np.flatnonzero(runs >= need)
-            if hit.size:
-                k_end = k0 + int(hit[0])
-                return n_sus - k_end, n_inf + 2 * k_end
-            need -= runs[-1]
+            ends = np.add.reduceat(runs, np.arange(0, m, RUN_CHUNK))
+            np.add.accumulate(ends, out=ends)  # each chunk's end sum
+            low = need - (RUN_CHUNK - 1)  # the crossing chunk ends at least this high
+            c = int((ends >= low).argmax())
+            if ends[c] >= low:
+                tail = runs[c * RUN_CHUNK:]
+                np.add.accumulate(tail, out=tail)
+                rest = need - ends[c - 1] if c else need
+                j = int((tail >= rest).argmax())
+                if tail[j] >= rest:
+                    k_end = k0 + c * RUN_CHUNK + j
+                    return n_sus - k_end, n_inf + 2 * k_end
+            need -= ends[-1]
     return 0, n_inf + 2 * n_sus

@@ -1,6 +1,7 @@
 """``epi`` command line: subcommands, file contracts, exit codes."""
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,18 @@ def test_exit_code_overflowing_beta(tmp_path, capsys):
     assert "numerical failure" in err
     assert "RuntimeWarning" not in err
     assert not out.exists()
+
+
+def test_simulate_finishes_at_an_overflowing_beta(tmp_path):
+    # once no susceptible site is in reach, nearly every thinning attempt is
+    # rejected; the sampler then draws recoveries from the rates
+    config = _write_config(tmp_path, "huge.txt", d=1, L=20, kernel="tophat:0.2",
+                           beta=1e300, rho0=0.7, rho1=0.3, seed=3)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert (out / "final.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "pde", "final", "hydro-sweep"])

@@ -15,6 +15,7 @@ from epilattice.particle import (
     INFECTED,
     REMOVED,
     SUSCEPTIBLE,
+    EXPONENTIAL_BLOCK,
     UNIFORM_BLOCK,
     EpidemicState,
     _advance,
@@ -142,6 +143,48 @@ def test_attempts_count_rejections_on_local_kernels_only():
     state = _mean_field_state(seed=4)
     run_to_absorption(state)
     assert state.attempts == state.events > 0
+
+
+def test_thinning_runs_stuck_on_rejections_keep_the_mean_field_law(monkeypatch):
+    # tophat:0.5 weighs every offset equally, so thinning realizes the
+    # mean-field chain with a = beta / L. At beta = 64 an infected site makes
+    # 64 infection attempts per recovery, nearly all aimed at the 502 removed
+    # sites, so runs of REJECTION_STREAK rejections are common, and the event
+    # still to come is then drawn from the rates. Final counts against the
+    # exact law; seeds and binning were fixed before any outcome was seen.
+    L, beta, n_sus, n_inf, runs = 512, 64.0, 8, 2, 4000
+    kernel = build_kernel(TorusGrid(1, L), TopHat(0.5))
+    draw, sus_left = particle._draw_from_rates, []
+
+    def counting(state, u_kind, u_pick):
+        sus_left.append(int((state.eta == SUSCEPTIBLE).sum()))
+        return draw(state, u_kind, u_pick)
+
+    monkeypatch.setattr(particle, "_draw_from_rates", counting)
+    finals = [round(run_to_absorption(init_exact_counts(kernel, beta, n_sus, n_inf, seed))
+                    .x_inf * L) for seed in range(runs)]
+    pmf = _final_susceptible_pmf(L, beta, n_sus, n_inf)
+    stat, critical = _chi_square(np.bincount(finals, minlength=n_sus + 1), pmf)
+    assert stat < critical
+    # the bound was reached with susceptible sites left, where the law
+    # depends on how the event is drawn
+    assert sum(n > 0 for n in sus_left) > runs // 4
+
+
+def test_thinning_bound_keeps_the_recovery_clock():
+    # with no susceptible site left and beta = 1e300, an infected site
+    # recovers about once in 1e300 attempts, so every recovery is drawn past
+    # the bound; absorption from 5 infected sites takes the largest of 5
+    # Exp(1) periods, mean H_5 and variance sum 1/k^2
+    kernel = build_kernel(TorusGrid(1, 20), TopHat(0.2))
+    eta = np.full(20, REMOVED, dtype=np.int8)
+    eta[:5] = INFECTED
+    runs, harmonic = 2000, sum(1 / k for k in range(1, 6))
+    sd = np.sqrt(sum(1 / k**2 for k in range(1, 6)) / runs)
+    finals = [run_to_absorption(EpidemicState(kernel, 1e300, eta, make_rng(seed)))
+              for seed in range(runs)]
+    assert all(final.events == 5 for final in finals)
+    assert abs(np.mean([final.time for final in finals]) - harmonic) < 5 * sd
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +717,41 @@ def test_absorb_mean_field_matches_exact_pmf(n_sites, beta, n_sus, n_inf):
     assert np.all(np.abs(counts - draws * pmf) <= 5.0 * sigma)
 
 
+def _chi_square(counts, pmf, min_expected=20.0):
+    """Pearson's statistic of observed ``counts`` against ``pmf``, with its
+    0.999 quantile under the null (Wilson-Hilferty). Bins are fixed by the
+    pmf alone: adjacent outcomes, in increasing order, merge until each bin
+    expects at least ``min_expected`` draws; a remainder joins the last bin.
+    """
+    draws = counts.sum()
+    observed, expected, o, e = [], [], 0.0, 0.0
+    for c, p in zip(counts, pmf):
+        o, e = o + c, e + draws * p
+        if e >= min_expected:
+            observed.append(o)
+            expected.append(e)
+            o = e = 0.0
+    observed[-1] += o
+    expected[-1] += e
+    observed, expected = np.array(observed), np.array(expected)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    dof = observed.size - 1
+    z = 3.090232  # the standard normal's 0.999 quantile
+    return stat, dof * (1 - 2 / (9 * dof) + z * np.sqrt(2 / (9 * dof))) ** 3
+
+
+@pytest.mark.parametrize("beta", [0.8, 1.5, 2.0])
+def test_absorb_mean_field_passes_a_chi_square_test_of_its_exact_law(beta):
+    # 20,000 final counts at n = 200 from 5 infected sites, against the exact
+    # law; master seed and binning were fixed before any outcome was seen
+    n, n_inf, draws = 200, 5, 20000
+    pmf = _final_susceptible_pmf(n, beta, n - n_inf, n_inf)
+    rng = make_rng(2026)  # draws are independent: each reads fresh exponentials
+    finals = [absorb_mean_field(n, beta, n - n_inf, n_inf, rng)[0] for _ in range(draws)]
+    stat, critical = _chi_square(np.bincount(finals, minlength=n - n_inf + 1), pmf)
+    assert stat < critical
+
+
 def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
     # the chain without blocks: every recovery run drawn in one call and
     # summed in int64
@@ -685,30 +763,48 @@ def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
     return n_sus - k_end, n_inf + 2 * k_end
 
 
+#: the critical benchmark's (beta, L) cells in d = 2, as (n, beta, n_sus, n_inf)
+CRITICAL_CELLS = [(L * L, beta, L * L - round(L**1.55), round(L**1.55))
+                  for beta in (0.8, 2.0) for L in (100, 160)]
+
+
 def test_absorb_mean_field_carries_across_blocks():
-    n = 3 * UNIFORM_BLOCK
+    n = 3 * EXPONENTIAL_BLOCK
     for seed in range(4):
         final = absorb_mean_field(n, 2.0, n - 200, 200, make_rng(seed))
         assert final == _absorb_at_once(n, 2.0, n - 200, 200, make_rng(seed))
-        # absorbed past the first block boundary, so the carry was used
-        assert n - 200 - final[0] > UNIFORM_BLOCK
+        # absorbed past the first draw of the first segment, so the carry was used
+        assert n - 200 - final[0] > EXPONENTIAL_BLOCK
 
 
-@pytest.mark.parametrize("block", [97, 65_536])
+@pytest.mark.parametrize("block", [97, 4096, 65_536])
 def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
     # standard_exponential draws are sequential, so splitting the same stream
-    # into other blocks leaves every recovery run, and so the result, as it
-    # was; the cells are the critical benchmark's (beta, L) in d = 2
-    cells = [(L * L, beta, L * L - round(L**1.55), round(L**1.55))
-             for beta in (0.8, 2.0) for L in (100, 160)]
+    # into other draws leaves every recovery run, and so the result, as it
+    # was; 97 is no multiple of RUN_CHUNK, so a draw ends in a short chunk,
+    # and the threshold is carried across draws many times per run. The
+    # default block gets 200 seeds per cell.
+    monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", block)
+    for cell in CRITICAL_CELLS:
+        for seed in range(200 if block == EXPONENTIAL_BLOCK else 8):
+            assert absorb_mean_field(*cell, make_rng(seed)) == _absorb_at_once(
+                *cell, make_rng(seed))
 
-    def finals():
-        return [absorb_mean_field(*cell, make_rng(seed)) for cell in cells
-                for seed in range(8)]
 
-    default = finals()
-    monkeypatch.setattr(particle, "UNIFORM_BLOCK", block)
-    assert finals() == default
+def test_absorb_mean_field_finds_a_crossing_that_falls_back_within_its_chunk():
+    # at seed 43 of (beta, L) = (0.8, 100) the running sum of r_j - 1 first
+    # reaches n_inf - 1 at k = 2043 and is back below it at k = 2047, where
+    # its chunk of RUN_CHUNK runs ends: a search for chunks that end at or
+    # above the threshold would pass the crossing by
+    n, beta, n_sus, n_inf = CRITICAL_CELLS[0]
+    k = np.arange(n_sus)
+    runs = np.floor(make_rng(43).standard_exponential(n_sus)
+                    / np.log1p(beta / n * (n_sus - k))) - 1.0
+    cum = np.cumsum(runs)
+    assert np.flatnonzero(cum >= n_inf - 1)[0] == 2043
+    assert cum[2047] < n_inf - 1 and 2048 % particle.RUN_CHUNK == 0
+    assert absorb_mean_field(n, beta, n_sus, n_inf, make_rng(43)) == (
+        n_sus - 2043, n_inf + 2 * 2043)
 
 
 @pytest.mark.parametrize("cell", [
