@@ -193,17 +193,20 @@ def hat_x_infinity(beta: float) -> float:
 
     For beta > 1 the equation has exactly two roots in (0, 1], the smaller of
     which is the meaningful limit; for beta <= 1 the only root is 1, and no
-    epidemic survives the limit.
+    epidemic survives the limit. The root is found in y = 1 - x, on
+    y + expm1(-beta * y) = 0 (convex, negative at (beta - 1) / beta^2,
+    positive at 1), and returned as exp(-beta * y): near beta = 1, where x
+    tends to 1 - 2 (beta - 1), the x-form cancels to rounding noise.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if beta <= 1.0:
         return 1.0
 
-    def f(x):
-        return x - math.exp(beta * (x - 1.0))
+    def f(y):
+        return y + math.expm1(-beta * y)
 
-    return _bisect(f, 0.0, 1.0 - 1e-9)
+    return math.exp(-beta * _bisect(f, (beta - 1.0) / beta / beta, 1.0))
 
 
 def xinf_max(beta: float) -> float:
@@ -212,14 +215,16 @@ def xinf_max(beta: float) -> float:
     First positive root of 1 = x * exp(beta * (1 - x)); equals 1 for
     beta <= 1. Solved on its own equation (not by delegating to
     :func:`hat_x_infinity`) so the two routes stay independent checks of one
-    another; algebraically the two values coincide.
+    another; algebraically the two values coincide. In y = 1 - x the
+    equation reads beta * y + log1p(-y) = 0 (concave, positive at
+    (beta - 1) / beta^2, -inf at 1).
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if beta <= 1.0:
         return 1.0
 
-    def f(x):
-        return x * math.exp(beta * (1.0 - x)) - 1.0
+    def f(y):
+        return beta * y + math.log1p(-y) if y < 1.0 else -math.inf
 
-    return _bisect(f, 0.0, 1.0 - 1e-9)
+    return math.exp(-beta * _bisect(f, (beta - 1.0) / beta / beta, 1.0))

@@ -32,7 +32,11 @@ event, and a third draws mean-field final sizes alone:
   Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
   final count this way, each run by inversion from one exponential, with
   the law ``run_to_absorption`` realizes but not its stream, and no event
-  loop.
+  loop. Its per-cell plan (the Newton estimate of the absorption point, the
+  first segment it sizes, and a read-only log1p(a*s) table of at most
+  ``EXPONENTIAL_BLOCK`` entries) is cached on (n_sites, beta, n_sus, n_inf)
+  for the 8 most recent cells, at most 8 x 512 KB; it holds no random
+  state, so every draw is what it would be without it.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -56,6 +60,7 @@ while a state runs on it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -474,6 +479,40 @@ def run_to_absorption(state: EpidemicState) -> FinalState:
     return FinalState(state.n_sus / state.grid.n_sites, state.events, state.time)
 
 
+@functools.lru_cache(maxsize=8)
+def _chain_plan(n_sites: int, beta: float, n_sus: int,
+                n_inf: int) -> tuple[float, int, np.ndarray]:
+    """(a, end, table): the deterministic part of ``absorb_mean_field`` for
+    one cell. ``end`` closes its first segment; the read-only ``table``
+    holds log1p(a*s) for s = n_sus, n_sus - 1, ... over the first
+    min(end, ``EXPONENTIAL_BLOCK``) infections, built as a draw builds it.
+    """
+    a = beta / n_sites
+    # k* solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
+    # k/n_sus) that is h(u) = u + a (n_inf + n_sus (1 - e^u)) = 0, h concave,
+    # so Newton steps from the bound u = -a (n_inf + n_sus) rise to the root.
+    u = -a * (n_inf + n_sus)
+    for _ in range(6):
+        g = a * n_sus * math.exp(u)
+        if not g < 1.0:
+            break
+        u -= (u + a * (n_inf + n_sus) - g) / (1.0 - g)
+    k_est = -n_sus * math.expm1(u)
+    end = n_sus
+    if k_est < n_sus:
+        margin, g = 0.1 * k_est, a * (n_sus - k_est)
+        if g < 1.0:
+            # the final count's variance, linearising the threshold
+            # construction at k* (Sellke): threshold and period noise
+            var = (k_est * (1.0 - k_est / n_sus) + g * g * (n_inf + k_est)) / (1.0 - g) ** 2
+            margin = min(margin, 4.0 * math.sqrt(var))
+        end = min(n_sus, math.ceil(k_est + margin) + 64)
+    table = np.arange(n_sus, n_sus - min(end, EXPONENTIAL_BLOCK), -1.0)
+    np.log1p(np.multiply(table, a, out=table), out=table)
+    table.flags.writeable = False
+    return a, end, table
+
+
 def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
                       rng: np.random.Generator) -> tuple[int, int]:
     """(final susceptible count, committed events) of a mean-field run from
@@ -498,38 +537,28 @@ def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
     threshold carried across draws are integers below 2 n_sites in size,
     exact in float64, and at it monotone rounding cannot drop below the
     threshold: the result is that of exact sums, with no int64 wrap.
+
+    The cell's a, first-segment end and first-draw log1p(a*s) table come
+    from ``_chain_plan``, cached per (n_sites, beta, n_sus, n_inf) for the 8
+    most recent cells, at most ``EXPONENTIAL_BLOCK`` floats (512 KB) each. A
+    draw reads the table where it covers the draw and otherwise computes the
+    same values the same way, so the cache changes no draw and no result.
     """
     _check_counts(n_sites, n_sus, n_inf)
     if not beta > 0.0:
         raise InvalidProfileError(f"beta must be positive, got {beta}")
     if n_inf == 0:
         return n_sus, 0
-    a = beta / n_sites
-    # k* solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
-    # k/n_sus) that is h(u) = u + a (n_inf + n_sus (1 - e^u)) = 0, h concave,
-    # so Newton steps from the bound u = -a (n_inf + n_sus) rise to the root.
-    u = -a * (n_inf + n_sus)
-    for _ in range(6):
-        g = a * n_sus * math.exp(u)
-        if not g < 1.0:
-            break
-        u -= (u + a * (n_inf + n_sus) - g) / (1.0 - g)
-    k_est = -n_sus * math.expm1(u)
-    end = n_sus
-    if k_est < n_sus:
-        margin, g = 0.1 * k_est, a * (n_sus - k_est)
-        if g < 1.0:
-            # the final count's variance, linearising the threshold
-            # construction at k* (Sellke): threshold and period noise
-            var = (k_est * (1.0 - k_est / n_sus) + g * g * (n_inf + k_est)) / (1.0 - g) ** 2
-            margin = min(margin, 4.0 * math.sqrt(var))
-        end = min(n_sus, math.ceil(k_est + margin) + 64)
+    a, end, table = _chain_plan(n_sites, beta, operator.index(n_sus), n_inf)
     need = n_inf - 1.0  # what this draw's sum of r_j - 1 must reach
-    for start, stop in ((0, end), (end, operator.index(n_sus))):
+    for start, stop in ((0, end), (end, n_sus)):
         for k0 in range(start, stop, EXPONENTIAL_BLOCK):
             m = min(EXPONENTIAL_BLOCK, stop - k0)
-            lam = np.arange(n_sus - k0, n_sus - k0 - m, -1.0)
-            np.log1p(np.multiply(lam, a, out=lam), out=lam)
+            if k0 + m <= table.size:
+                lam = table[k0:k0 + m]
+            else:
+                lam = np.arange(n_sus - k0, n_sus - k0 - m, -1.0)
+                np.log1p(np.multiply(lam, a, out=lam), out=lam)
             runs = rng.standard_exponential(m)
             np.floor(np.divide(runs, lam, out=runs), out=runs)
             runs -= 1.0

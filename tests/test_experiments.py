@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from epilattice import MeanField, TorusGrid, build_kernel
+from epilattice import MeanField, TorusGrid, build_kernel, particle
 from epilattice.cli import _csv_text, _manifest_text, _write_run
 from epilattice.config import ExperimentConfig
 from epilattice.errors import ConfigError
@@ -119,6 +119,15 @@ def test_golden_critical_sweep():
     assert [row[5] for row in result.rows] == [
         n_sus / row[2] for n_sus, row in zip(finals, result.rows)]
     assert result.events == 946
+
+
+def test_critical_sweep_builds_one_plan_per_cell():
+    # the replicas of one (beta, L) cell share its absorption plan
+    config = ExperimentConfig(d=2, L_values=(100,), betas=(2.0,), alpha=0.45,
+                              replicas=5, seed=1)
+    run_critical_sweep(config)
+    info = particle._chain_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
 
 
 @pytest.mark.parametrize("replicas", [4, 5])

@@ -35,6 +35,16 @@ HAT_X_CASES = [
     (3.0, 0.059520209292640369),
 ]
 
+# hat_x at beta = 1 + 10^-k (the double nearest to it), from mpmath's Lambert
+# W at 50 digits: x = -W0(-beta e^-beta) / beta
+NEAR_CRITICAL_HAT_X = [
+    (2, 0.98026358956040822663),
+    (4, 0.99980002666355592124),
+    (6, 0.99999800000266682809),
+    (8, 0.99999998000000038822),
+    (10, 0.99999999979999998348),
+]
+
 
 # ---------------------------------------------------------------------------
 # params and trajectory
@@ -187,3 +197,23 @@ def test_xinf_max_identity_with_hat_x():
         assert abs(xm - hat_x_infinity(beta)) <= 1e-12
     assert xinf_max(0.7) == 1.0
     assert xinf_max(1.0) == 1.0
+
+
+@pytest.mark.parametrize("k, expected", NEAR_CRITICAL_HAT_X,
+                         ids=[f"1e-{k}" for k, _ in NEAR_CRITICAL_HAT_X])
+def test_hat_x_just_above_threshold(k, expected):
+    # x = exp(beta (x - 1)) cancels to rounding noise as x -> 1, where the
+    # root is 1 - 2 (beta - 1) + O((beta - 1)^2); in y = 1 - x it does not
+    beta = 1.0 + 10.0**-k
+    eps = beta - 1.0
+    hat = hat_x_infinity(beta)
+    assert abs(hat - expected) <= 2.5e-16  # two units in the last place below 1
+    y = 1.0 - hat  # exact: hat lies in [1/2, 1]
+    assert abs(y + math.expm1(-beta * y)) <= 1e-15 * y
+    # y = 2 eps - (8/3) eps^2 + ..., so y / (2 eps) is 1 - (4/3) eps to first
+    # order (1.3e-6 at k = 6); the 1e-6 is 1 - hat's rounding, 1.1e-16
+    # against y = 2e-10 at k = 10
+    assert abs(y / (2.0 * eps) - 1.0) <= 1.5 * eps + 1e-6
+    if k >= 8:
+        assert abs(y / (2.0 * eps) - 1.0) <= 1e-6
+    assert abs(xinf_max(beta) - hat) <= 1e-15

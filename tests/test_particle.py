@@ -785,10 +785,27 @@ def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
     # and the threshold is carried across draws many times per run. The
     # default block gets 200 seeds per cell.
     monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", block)
+    particle._chain_plan.cache_clear()  # and again after the test (conftest)
     for cell in CRITICAL_CELLS:
         for seed in range(200 if block == EXPONENTIAL_BLOCK else 8):
             assert absorb_mean_field(*cell, make_rng(seed)) == _absorb_at_once(
                 *cell, make_rng(seed))
+
+
+def test_absorb_mean_field_reads_a_plan_built_at_another_block_size(monkeypatch):
+    # a plan's table covers the first draw at the block size it was built
+    # at; at another, draws read the part of it they fall in, or their own
+    for first, then in ((EXPONENTIAL_BLOCK, 97), (97, EXPONENTIAL_BLOCK)):
+        particle._chain_plan.cache_clear()
+        monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", first)
+        for cell in CRITICAL_CELLS:
+            absorb_mean_field(*cell, make_rng(0))
+        monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", then)
+        for cell in CRITICAL_CELLS:
+            for seed in range(8):
+                assert absorb_mean_field(*cell, make_rng(seed)) == _absorb_at_once(
+                    *cell, make_rng(seed))
+        assert particle._chain_plan.cache_info().misses == len(CRITICAL_CELLS)
 
 
 def test_absorb_mean_field_finds_a_crossing_that_falls_back_within_its_chunk():
@@ -807,15 +824,20 @@ def test_absorb_mean_field_finds_a_crossing_that_falls_back_within_its_chunk():
         n_sus - 2043, n_inf + 2 * 2043)
 
 
-@pytest.mark.parametrize("cell", [
+#: cells whose runs stray far from the estimated absorption point
+OFF_ESTIMATE_CELLS = [
     (10_000, 1.0, 8741, 1259),   # critical
     (5000, 1.5, 4999, 1),        # one seed: dies out early or breaks out
     (5000, 1.1, 4999, 1),        # some runs absorb past the sized blocks
     (100, 150.0, 99, 1),         # every site gets infected
     (60, 2.0, 50, 10),           # fewer than 64 susceptible sites
     (100, 2.0, 0, 7),            # none susceptible
-], ids=["critical", "one-seed", "one-seed-near-critical", "all-infected",
-        "few-susceptible", "none-susceptible"])
+]
+OFF_ESTIMATE_IDS = ["critical", "one-seed", "one-seed-near-critical", "all-infected",
+                    "few-susceptible", "none-susceptible"]
+
+
+@pytest.mark.parametrize("cell", OFF_ESTIMATE_CELLS, ids=OFF_ESTIMATE_IDS)
 def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
     # the blocks are sized from a deterministic estimate of the absorption
     # point; where the runs stray far from it the result is still the one a
@@ -832,6 +854,37 @@ def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
         rng = make_rng(3)
         assert absorb_mean_field(*cell, rng) == (0, n_inf)
         assert _position(rng) == _position(make_rng(3))  # drew nothing
+
+
+@pytest.mark.parametrize("cell", CRITICAL_CELLS + OFF_ESTIMATE_CELLS,
+                         ids=[f"L{round(c[0] ** 0.5)}-beta{c[1]}" for c in CRITICAL_CELLS]
+                         + OFF_ESTIMATE_IDS)
+def test_absorb_mean_field_gives_the_same_draws_from_a_cold_and_a_warm_plan(cell):
+    # each seed from a cleared plan cache, then again from the cached plan
+    seeds = range(200 if cell in CRITICAL_CELLS else 40)
+    expected = [_absorb_at_once(*cell, make_rng(seed)) for seed in seeds]
+    cold = []
+    for seed in seeds:
+        particle._chain_plan.cache_clear()
+        cold.append(absorb_mean_field(*cell, make_rng(seed)))
+    assert particle._chain_plan.cache_info().currsize == 1
+    warm = [absorb_mean_field(*cell, make_rng(seed)) for seed in seeds]
+    assert cold == expected and warm == expected
+    assert particle._chain_plan.cache_info().hits >= len(seeds)
+
+
+def test_chain_plan_table_is_read_only_and_at_most_a_block():
+    big = 3 * EXPONENTIAL_BLOCK  # its first segment, about 0.8 n, outgrows a block
+    for cell in CRITICAL_CELLS + [(big, 2.0, big - 200, 200)]:
+        absorb_mean_field(*cell, make_rng(0))
+        a, end, table = particle._chain_plan(*cell)  # the cached plan
+        n_sus = cell[2]
+        assert table.size == min(end, EXPONENTIAL_BLOCK)
+        assert np.array_equal(table, np.log1p(a * np.arange(n_sus, n_sus - table.size, -1.0)))
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert end > EXPONENTIAL_BLOCK
+    assert particle._chain_plan.cache_info().currsize == len(CRITICAL_CELLS) + 1
 
 
 def _position(rng):
