@@ -176,16 +176,20 @@ def final_size(beta: float, rho0: float, rho1: float) -> float:
 
         x = rho0 * exp(-beta * (rho0 + rho1 - x)),
 
-    found by bisection; it is strictly below both rho0 and 1/beta, or 0 at
-    rho0 = 0. At rho1 = 0 nothing happens, so the value is rho0 at any beta.
+    strictly below both rho0 and 1/beta, or 0 at rho0 = 0. At rho1 = 0
+    nothing happens, so the value is rho0 at any beta. It is found in
+    y = rho0 - x, by bisection on y + rho0 * expm1(-beta * (rho1 + y)) = 0
+    (convex, negative at 0, nonnegative at rho0), and returned as
+    rho0 * exp(-beta * (rho1 + y)): near threshold the x-form cancels.
     """
     MeanFieldParams(beta, rho0, rho1)
-    mass = rho0 + rho1
+    if rho1 == 0.0:
+        return rho0
 
-    def f(x):
-        return x - rho0 * math.exp(-beta * (mass - x))
+    def f(y):
+        return y + rho0 * math.expm1(-beta * (rho1 + y))
 
-    return rho0 if rho1 == 0.0 else _bisect(f, 0.0, rho0)
+    return rho0 * math.exp(-beta * (rho1 + _bisect(f, 0.0, rho0)))
 
 
 def hat_x_infinity(beta: float) -> float:

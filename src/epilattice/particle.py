@@ -51,12 +51,11 @@ the same index (``site_rates``) and audited against the convolution
 definition (``audit_rates``). Random numbers are consumed in a
 fixed per-event order, so a run is bit-reproducible from (seed, config).
 The state owns its generator: the thinning path reads uniforms by index
-from blocks of ``UNIFORM_BLOCK``, and the mean-field path draws registry
-slots exactly as ``Generator.integers`` does, but inline from the bit
-generator's raw words. It takes a buffered 32-bit half-word out of the
-generator when it is built and holds it itself, so the generator never
-serves that word a second time. Nothing else may draw from the generator
-while a state runs on it.
+from blocks of ``UNIFORM_BLOCK``, read ahead of use, and the mean-field
+path draws registry slots as ``Generator.integers`` draws them, from the
+bit generator's own words (``BitGenerator.ctypes``); no generator state
+is ever edited. Those reads skip the bit generator's lock, so nothing
+else may draw from a state's generator while the state runs on it.
 """
 from __future__ import annotations
 
@@ -86,8 +85,8 @@ REMOVED = -1
 #: (``fresh_site_rates``).
 DRIFT_REBUILD_TOL = 1e-9
 
-#: Uniforms the thinning sampler draws from the generator at a time; fixed,
-#: so that consumption is a function of (seed, config) alone.
+#: Uniforms the thinning sampler draws from the generator at a time (at
+#: least 7); fixed, so that consumption is a function of (seed, config) alone.
 UNIFORM_BLOCK = 4096
 
 #: Rejected thinning attempts in a row after which the sampler draws the next
@@ -175,20 +174,12 @@ class EpidemicState:
         if self.uniform_path:
             self._sus_sites = np.flatnonzero(sus).tolist()
             self._unit_rate = self.beta * grid.cell_volume()
-            # Registry slots are drawn as Generator.integers(n) draws them,
-            # but inline from raw 64-bit words; the state takes the
-            # generator's buffered 32-bit half-word out of it, so the word is
-            # served once. Generators without one (MT19937 has 32-bit raw
-            # words) keep calling integers, as do grids over 2**32 sites,
-            # where integers switches to 64-bit draws.
-            bit_state = rng.bit_generator.state
-            if "has_uint32" in bit_state and grid.n_sites <= 2**32:
-                self._raw, self._half = rng.bit_generator.random_raw, None
-                if bit_state["has_uint32"]:
-                    self._half, bit_state["has_uint32"] = bit_state["uinteger"], 0
-                    rng.bit_generator.state = bit_state
-            else:
-                self._raw = self._half = None
+            # the words Generator.integers(n) and random() read, served by the
+            # bit generator itself; over 2**32 sites integers switches to
+            # 64-bit draws, and is called instead
+            words = rng.bit_generator.ctypes
+            self._words = (words.state, words.next_double,
+                           words.next_uint32 if grid.n_sites <= 2**32 else None)
         else:
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
             self._attempt_rate = float(self._contrib.sum())
@@ -295,17 +286,17 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
     eta, inf_sites, rng = state._eta, state._inf_sites, state.rng
     uniform = state.uniform_path
     if uniform:
-        sus_sites, unit_rate, raw, half = (state._sus_sites, state._unit_rate,
-                                           state._raw, state._half)
-        exponential, random = rng.standard_exponential, rng.random
+        sus_sites, unit_rate = state._sus_sites, state._unit_rate
+        bits, next_double, next_uint32 = state._words
+        exponential = rng.standard_exponential
     else:
         # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
         # rejected attempt leaves the state as it was and only adds its wait.
         # An attempt reads its uniforms from the block at index i: wait,
         # source slot, recovery test and, for an infection attempt, offset;
         # an event drawn from the rates after REJECTION_STREAK rejections
-        # reads three: wait, kind and site. The block is refilled before a
-        # read that might run past it.
+        # reads three: wait, kind and site. The block is refilled before an
+        # attempt that leaves fewer than those three unread.
         per_site = 1.0 + state._attempt_rate
         cum = state.kernel._thinning
         pad, site_at, step = map(memoryview, state.kernel._index)
@@ -319,33 +310,25 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
         elif uniform:
             total = unit_rate * n_sus * n_inf + n_inf
             dt = exponential() / total
-            recovery = random() * total < n_inf
+            recovery = next_double(bits) * total < n_inf
             n, registry = (n_inf, inf_sites) if recovery else (n_sus, sus_sites)
             if n == 1:
                 slot = 0  # integers(1) draws nothing
-            elif raw is None:
+            elif next_uint32 is None:
                 slot = rng.integers(n)
             else:
-                # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves, as
-                # integers(n) does it: a raw word gives its low half first and
-                # keeps the high half; the product word * n is rejected when
-                # its low half is under (2**32 - n) % n
-                while True:
-                    if half is None:
-                        word = raw()
-                        word, half = word & 0xFFFFFFFF, word >> 32
-                    else:
-                        word, half = half, None
-                    m = word * n
-                    low = m & 0xFFFFFFFF
-                    if low >= n or low >= (0x100000000 - n) % n:
-                        break
+                # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit words, as
+                # integers(n) does it: the product word * n is redrawn while
+                # its low half is under (2**32 - n) % n, which is below n
+                m = next_uint32(bits) * n
+                while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (0x100000000 - n) % n:
+                    m = next_uint32(bits) * n
                 slot = m >> 32
             site = registry[slot]
         else:
             wait, left = 0.0, streak  # left: rejections until the exact draw
             while True:
-                if i + 4 > size:  # the unread tail stays first in line
+                if i + 7 > size:  # the unread tail stays first in line
                     block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
                     i, size = 0, len(block)
                 wait -= log(1.0 - block[i])
@@ -365,9 +348,6 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
                 if not left:
                     # a long run of rejections: as waits are memoryless, the
                     # event still to come is drawn from the rates instead
-                    if i + 3 > size:
-                        block = block[i:] + rng.random(UNIFORM_BLOCK).tolist()
-                        i, size = 0, len(block)
                     rate, recovery, site, slot = _draw_from_rates(
                         state, block[i + 1], block[i + 2])
                     wait -= log(1.0 - block[i]) * (n_inf * per_site / rate)
@@ -397,9 +377,7 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
             n_inf += 1
         if time >= t_stop:
             break
-    if uniform:
-        state._half = half
-    else:
+    if not uniform:
         state._uniforms, state._next_uniform = block, i
     state.time, state.events, state.attempts = time, events, attempts
     state.n_sus, state.n_inf, state.n_rem = n_sus, n_inf, n_rem

@@ -151,6 +151,22 @@ def test_infer_rejects_a_duplicated_site_index(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infer_rejects_an_unreadable_input(tmp_path, capsys):
+    config = _write_config(tmp_path, "inf.txt", L=8, beta=1.5, mode="beta",
+                           input=str(tmp_path / "absent.csv"))
+    assert main(["infer", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_infer_rejects_missing_columns(tmp_path, capsys):
+    csv = tmp_path / "cols.csv"
+    csv.write_text("site_index,rho0,rho1\n" + "".join(f"{site},1,0\n" for site in range(8)))
+    config = _write_config(tmp_path, "inf.txt", L=8, beta=1.5, mode="beta",
+                           input=str(csv))
+    assert main(["infer", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "expected columns" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # meanfield
 # ---------------------------------------------------------------------------

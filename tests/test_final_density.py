@@ -164,6 +164,13 @@ def test_grid_mismatch():
         solve_final_density(k, 1.0, init)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_solver_rejects_a_nonpositive_tolerance(tol):
+    g = TorusGrid(1, 8)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_final_density(build_kernel(g, MeanField()), 1.5, DensityField(g, 0.9, 0.1), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # inverse problems
 # ---------------------------------------------------------------------------

@@ -144,6 +144,11 @@ def test_invalid_kernel_parameters():
             build_kernel(g, spec)
 
 
+def test_build_kernel_rejects_an_unknown_spec():
+    with pytest.raises(InvalidSpecError, match="unknown kernel spec"):
+        build_kernel(TorusGrid(1, 8), "tophat:0.25")
+
+
 def test_kernel_structural_invariants_randomized():
     rng = np.random.default_rng(2024)
     for _ in range(6):
@@ -350,6 +355,12 @@ def test_cached_spectrum_is_the_operator_spectrum():
     assert np.abs(spectrum.imag).max() <= 1e-15
     assert abs(spectrum.real.min() - np.linalg.eigvalsh(circulant).min()) <= 1e-14
     assert spectrum.real.min() < 0.0
+
+
+def test_convolve_rejects_an_unknown_method():
+    k = build_kernel(TorusGrid(1, 8), TopHat(0.25))
+    with pytest.raises(ValueError, match="unknown convolve method"):
+        convolve(k, np.zeros(8), method="spectral")
 
 
 def test_convolve_grid_mismatch():

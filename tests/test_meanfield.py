@@ -13,6 +13,7 @@ import pytest
 from epilattice.errors import DomainError, InvalidProfileError
 from epilattice.meanfield import (
     MeanFieldParams,
+    _bisect,
     final_size,
     hat_x_infinity,
     ode_integrate,
@@ -33,6 +34,26 @@ HAT_X_CASES = [
     (1.5, 0.41718835613418861),
     (2.0, 0.20318786997997995),
     (3.0, 0.059520209292640369),
+]
+
+# x_inf at (beta, rho0, rho1), each the double nearest the literal, from
+# mpmath's Lambert W at 60 digits: x = -W0(-beta rho0 e^(-beta (rho0 + rho1))) / beta
+LAMBERT_FINAL_SIZE_CASES = [
+    # near threshold, where x - rho0 e^(-beta (rho0 + rho1 - x)) cancels
+    ((1.0001, 0.99999, 1e-12), 0.99981001428680101134),
+    ((1 + 1e-6, 1 - 1e-9, 1e-9), 0.99995426817423300701),
+    ((1 + 1e-8, 1 - 1e-12, 1e-12), 0.99999857575176373311),
+    # ordinary cells
+    ((2.0, 0.99, 0.01), 0.19979603232320073888),
+    ((1.5, 0.999, 0.001), 0.41607693287771027365),
+    ((0.5, 0.9, 0.1), 0.82431433379850631926),
+    ((5.0, 0.3, 0.2), 0.028379927336073632127),
+    ((0.8, 0.95, 0.05), 0.82762948559588244464),
+    # rho0 + rho0 expm1(-beta (rho0 + rho1)) rounds to 0: the root is the
+    # bracket's end, and x = rho0 e^(-beta (rho0 + rho1)), or 0 once that
+    # underflows (4.6e-435 at beta = 1000)
+    ((50.0, 0.5, 0.5), 9.6437492398195889151e-23),
+    ((1000.0, 0.9, 0.1), 0.0),
 ]
 
 # hat_x at beta = 1 + 10^-k (the double nearest to it), from mpmath's Lambert
@@ -158,6 +179,12 @@ def test_final_size_frozen_values():
         assert abs(final_size(beta, r0, r1) - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("cell, expected", LAMBERT_FINAL_SIZE_CASES,
+                         ids=[str(cell) for cell, _ in LAMBERT_FINAL_SIZE_CASES])
+def test_final_size_matches_lambert_w(cell, expected):
+    assert math.isclose(final_size(*cell), expected, rel_tol=1e-15, abs_tol=0.0)
+
+
 def test_final_size_degenerate_cases():
     assert final_size(1.3, 0.75, 0.0) == 0.75
     assert final_size(1.3, 0.0, 0.4) == 0.0
@@ -188,6 +215,19 @@ def test_hat_x_frozen_values():
 def test_hat_x_degenerate_below_critical():
     for beta in (0.3, 0.9, 1.0):
         assert hat_x_infinity(beta) == 1.0
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_hat_x_and_xinf_max_reject_a_nonpositive_beta(beta):
+    with pytest.raises(DomainError):
+        hat_x_infinity(beta)
+    with pytest.raises(DomainError):
+        xinf_max(beta)
+
+
+def test_bisect_requires_a_sign_change():
+    with pytest.raises(DomainError, match="no sign change"):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_xinf_max_identity_with_hat_x():

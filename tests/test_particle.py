@@ -187,6 +187,31 @@ def test_thinning_bound_keeps_the_recovery_clock():
     assert abs(np.mean([final.time for final in finals]) - harmonic) < 5 * sd
 
 
+@pytest.mark.parametrize("streak", [3, 64])
+def test_thinning_reads_the_same_uniforms_at_any_block_size(monkeypatch, streak):
+    # the block only sets when the generator is asked for more uniforms, not
+    # which ones an attempt or an exact draw reads; at beta = 50 on a ring
+    # of 40, rejection streaks run into the exact draw at either length
+    kernel = build_kernel(TorusGrid(1, 40), TopHat(0.2))
+    monkeypatch.setattr(particle, "REJECTION_STREAK", streak)
+    draw, exact = particle._draw_from_rates, []
+
+    def counting(state, u_kind, u_pick):
+        exact.append(state.events)
+        return draw(state, u_kind, u_pick)
+
+    monkeypatch.setattr(particle, "_draw_from_rates", counting)
+    runs = {}
+    for block in (4096, 7, 8, 11, 64):
+        monkeypatch.setattr(particle, "UNIFORM_BLOCK", block)
+        state = init_random(kernel, 50.0, 0.7, 0.1, 5)
+        run_sampled(state, [0.05, 0.1, 0.2])
+        run_to_absorption(state)
+        runs[block] = (state.events, state.attempts, state.time, state.eta.tobytes())
+    assert all(run == runs[4096] for run in runs.values())
+    assert exact
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -387,8 +412,9 @@ _BOUND_SIZES = [1, 2, 3, 2**31 + 5, 2**32 - 1, 2**32]
                                            np.random.SFC64, np.random.MT19937])
 @pytest.mark.parametrize("prefill", [False, True], ids=["half-empty", "half-full"])
 def test_slot_draw_matches_generator_integers(bit_generator, prefill):
-    # the uniform sampler draws registry slots inline from raw words; they
-    # must equal Generator.integers(n) called in the event loop's order.
+    # the uniform sampler draws registry slots from the bit generator's
+    # 32-bit words; they must equal Generator.integers(n) called in the event
+    # loop's order.
     # Registries are stood in for by ranges, so n can reach 2**32.
     kernel = build_kernel(TorusGrid(1, 10), MeanField())
     rng, twin = (np.random.Generator(bit_generator(11)) for _ in range(2))
@@ -452,23 +478,60 @@ def test_golden_mean_field_runs_across_generators(bit_generator, prefill, pinned
 
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64,
                                            np.random.SFC64])
-def test_state_takes_the_buffered_half_word_out_of_the_generator(bit_generator):
-    # the state serves the generator's buffered half-word as a slot draw, so
-    # after one event the generator must continue exactly like a twin that
-    # made the same draws through Generator.integers
+def test_state_leaves_the_generator_as_it_found_it(bit_generator):
+    # building a state edits no generator state, the buffered half-word
+    # included, and after one event the generator must continue exactly like
+    # a twin that made the same draws through Generator.integers
     kernel = build_kernel(TorusGrid(1, 100), MeanField())
     eta = np.zeros(100, dtype=np.int8)
     eta[::10] = INFECTED
     rng, twin = (np.random.Generator(bit_generator(11)) for _ in range(2))
     rng.integers(5)
-    state = EpidemicState(kernel, 2.0, eta, rng)
-    assert rng.bit_generator.state["has_uint32"] == 0
-    record = gillespie_step(state)
     twin.integers(5)
+    state = EpidemicState(kernel, 2.0, eta, rng)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+    record = gillespie_step(state)
     twin.standard_exponential()
     twin.random()
     twin.integers(10 if record.kind == "recovery" else 90)
     assert np.array_equal(rng.integers(2**31, size=3), twin.integers(2**31, size=3))
+
+
+def _lemire_slot(words, n):
+    # Generator.integers(n) for 1 < n <= 2**32, on the bit generator's words
+    while True:
+        m = words.next_uint32(words.state) * n
+        low = m & 0xFFFFFFFF
+        if low >= n or low >= (2**32 - n) % n:
+            return m >> 32
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.SFC64])
+@pytest.mark.parametrize("prefill", [False, True], ids=["half-empty", "half-full"])
+def test_bit_generator_words_are_the_ones_generator_draws_read(bit_generator, prefill):
+    # the mean-field sampler reads next_uint32 and next_double through
+    # BitGenerator.ctypes, between standard_exponential calls, and relies on
+    # them being the words integers(n) and random() read, buffered 32-bit
+    # half-word included
+    rng, twin = (np.random.Generator(bit_generator(29)) for _ in range(2))
+    if prefill:
+        rng.integers(5)
+        twin.integers(5)
+    words = rng.bit_generator.ctypes
+    pick = np.random.default_rng(3)
+    # small bounds reject rarely, bounds over 2**31 up to half the time
+    bounds = np.where(pick.random(10_000) < 0.5, pick.integers(2, 1000, 10_000),
+                      pick.integers(2**31, 2**32, 10_000, endpoint=True))
+    for kind, n in zip(pick.integers(3, size=10_000).tolist(), bounds.tolist()):
+        if kind == 0:
+            assert _lemire_slot(words, n) == twin.integers(n)
+        elif kind == 1:
+            assert words.next_double(words.state) == twin.random()
+        else:
+            assert rng.standard_exponential() == twin.standard_exponential()
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def _final_state(state):

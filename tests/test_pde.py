@@ -255,6 +255,12 @@ def test_long_time_limit_nonuniform_bound():
     assert res.u0.max() > res.u0.min() + 0.01
 
 
+def test_long_time_limit_rejects_mismatched_grids():
+    k = build_kernel(TorusGrid(1, 16), MeanField())
+    with pytest.raises(GridMismatchError):
+        long_time_limit(k, 1.5, DensityField(TorusGrid(1, 8), 0.9, 0.1))
+
+
 def test_long_time_limit_horizon_error():
     g = TorusGrid(1, 16)
     k = build_kernel(g, MeanField())
