@@ -11,7 +11,7 @@ Two experiment families are automated here:
   seeded with a vanishing infected fraction gamma^alpha, whose final
   susceptible fraction concentrates near 1 below beta = 1 and near the root
   of x = e^{beta(x-1)} above it. Only final sizes are needed, so each is
-  drawn exactly from the counts' absorption chain
+  drawn exactly from Sellke's threshold form of the mean-field final size
   (``particle.absorb_mean_field``), with no event loop.
 
 Every replica draws its generator from a seed derived deterministically
@@ -171,8 +171,8 @@ class CriticalResult:
     rows: list[tuple]     # (beta, alpha, L, replica, seed, x_inf, target)
     summary: list[tuple]  # (beta, alpha, L, n_infected, median, mean, std, target)
     realized: dict[int, int]  # L -> initial infected count
-    events: int           # committed events over all replicas, counted on the
-                          # absorption chain: as many as particle runs commit
+    events: int           # committed events over all replicas, n_inf + 2 *
+                          # infections each: as many as particle runs commit
 
     def tables(self) -> dict[str, tuple[list[str], list[tuple]]]:
         return {

@@ -23,20 +23,16 @@ event, and a third draws mean-field final sizes alone:
 * the mean-field kernel makes every susceptible site equivalent — the whole
   infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
   the site is drawn uniformly from a susceptible registry;
-* by that same equivalence the mean-field counts (n_sus, n_inf) form a
-  Markov chain of their own: with s susceptible sites left, the next event
-  is an infection with probability q(s) = a*s / (a*s + 1), a = beta *
-  gamma^d, whatever n_inf is. So the recoveries before each infection are
-  independent Geometric(q(s)) - 1 draws, one per s, and the run is absorbed
-  once the recoveries so far use up the sites infected so far (compare
-  Sellke, J. Appl. Probab. 20 (1983) 390). ``absorb_mean_field`` draws the
-  final count this way, each run by inversion from one exponential, with
-  the law ``run_to_absorption`` realizes but not its stream, and no event
-  loop. Its per-cell plan (the Newton estimate of the absorption point, the
-  first segment it sizes, and a read-only log1p(a*s) table of at most
-  ``EXPONENTIAL_BLOCK`` entries) is cached on (n_sites, beta, n_sus, n_inf)
-  for the 8 most recent cells, at most 8 x 512 KB; it holds no random
-  state, so every draw is what it would be without it.
+* by that same equivalence the mean-field final count has Sellke's
+  threshold form (Sellke, J. Appl. Probab. 20 (1983) 390; Ball, Adv.
+  Appl. Probab. 18 (1986) 289): every susceptible site holds an Exp(1)
+  threshold, every infected site an Exp(1) infectious period, and a site
+  is infected once a = beta * gamma^d times the periods of those infected
+  so far passes its threshold. ``absorb_mean_field`` draws the final count
+  this way, with the law ``run_to_absorption`` realizes but not its
+  stream, and no event loop. Sorted thresholds and period sums are drawn
+  in blocks whose sums have closed-form laws, so only the few blocks
+  around the absorption point are drawn one number per site.
 
 The registries (infected sites; on the mean-field path also susceptible
 sites) are plain lists. A draw picks a registry slot, and the commit
@@ -59,7 +55,6 @@ else may draw from a state's generator while the state runs on it.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_right
@@ -93,11 +88,10 @@ UNIFORM_BLOCK = 4096
 #: event exactly from the per-site rates instead (``_advance``).
 REJECTION_STREAK = 64
 
-#: Most exponentials ``absorb_mean_field`` draws in one call (512 KB).
-EXPONENTIAL_BLOCK = 2**16
-
-#: Recovery runs ``absorb_mean_field`` sums at a time to find its crossing.
-RUN_CHUNK = 64
+#: Most positions in an ``absorb_mean_field`` block and most blocks in one
+#: of its rounds: no array it makes holds more than 6 x BLOCK_MAX floats
+#: (192 KB).
+BLOCK_MAX = 2**12
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -457,16 +451,10 @@ def run_to_absorption(state: EpidemicState) -> FinalState:
     return FinalState(state.n_sus / state.grid.n_sites, state.events, state.time)
 
 
-@functools.lru_cache(maxsize=8)
-def _chain_plan(n_sites: int, beta: float, n_sus: int,
-                n_inf: int) -> tuple[float, int, np.ndarray]:
-    """(a, end, table): the deterministic part of ``absorb_mean_field`` for
-    one cell. ``end`` closes its first segment; the read-only ``table``
-    holds log1p(a*s) for s = n_sus, n_sus - 1, ... over the first
-    min(end, ``EXPONENTIAL_BLOCK``) infections, built as a draw builds it.
-    """
-    a = beta / n_sites
-    # k* solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
+def _absorption_estimate(a: float, n_sus: int, n_inf: int) -> tuple[float, float]:
+    """(k, end) for ``absorb_mean_field``: its deterministic absorption point,
+    and k plus 4 sd of the final count, or n_sus where no sd is finite."""
+    # k solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
     # k/n_sus) that is h(u) = u + a (n_inf + n_sus (1 - e^u)) = 0, h concave,
     # so Newton steps from the bound u = -a (n_inf + n_sus) rise to the root.
     u = -a * (n_inf + n_sus)
@@ -475,82 +463,88 @@ def _chain_plan(n_sites: int, beta: float, n_sus: int,
         if not g < 1.0:
             break
         u -= (u + a * (n_inf + n_sus) - g) / (1.0 - g)
-    k_est = -n_sus * math.expm1(u)
-    end = n_sus
-    if k_est < n_sus:
-        margin, g = 0.1 * k_est, a * (n_sus - k_est)
-        if g < 1.0:
-            # the final count's variance, linearising the threshold
-            # construction at k* (Sellke): threshold and period noise
-            var = (k_est * (1.0 - k_est / n_sus) + g * g * (n_inf + k_est)) / (1.0 - g) ** 2
-            margin = min(margin, 4.0 * math.sqrt(var))
-        end = min(n_sus, math.ceil(k_est + margin) + 64)
-    table = np.arange(n_sus, n_sus - min(end, EXPONENTIAL_BLOCK), -1.0)
-    np.log1p(np.multiply(table, a, out=table), out=table)
-    table.flags.writeable = False
-    return a, end, table
+    k = -n_sus * math.expm1(u)
+    g = a * (n_sus - k)
+    if not g < 1.0:
+        return k, n_sus
+    # the final count's variance, linearising the threshold construction at
+    # k: threshold and period noise
+    var = (k * (1.0 - k / n_sus) + g * g * (n_inf + k)) / (1.0 - g) ** 2
+    return k, k + 4.0 * math.sqrt(var)
 
 
 def absorb_mean_field(n_sites: int, beta: float, n_sus: int, n_inf: int,
                       rng: np.random.Generator) -> tuple[int, int]:
     """(final susceptible count, committed events) of a mean-field run from
-    ``n_sus`` susceptible and ``n_inf`` infected sites, drawn from the
-    counts' absorption chain (module docstring); no site, event or time is
-    simulated.
+    ``n_sus`` susceptible and ``n_inf`` infected sites, drawn from Sellke's
+    threshold form (module docstring); no site, event or time is simulated.
 
-    Infection k (k = 0, 1, ...) happens with s = n_sus - k susceptible sites
-    left, after r_k = floor(E / log1p(a*s)) recoveries, E standard
-    exponential: Geometric(q(s)) - 1 by inversion (Devroye 1986, ch. X). The
-    run absorbs at the first k whose sum of r_j - 1 reaches n_inf - 1 (its
-    recoveries reach n_inf + k), else at k = n_sus, leaving n_sus - k
-    susceptible sites after n_inf + 2k events.
+    Let T_(1) < T_(2) < ... be the sorted Exp(1) thresholds of the n_sus
+    susceptible sites, T_(n_sus + 1) = inf, and S_m a sum of m Exp(1)
+    periods. The run absorbs at k* = min{k >= 0 : T_(k+1) > a*S_(n_inf+k)},
+    a = beta / n_sites, leaving n_sus - k* susceptible sites after
+    n_inf + 2k* events.
 
-    Each of two segments is one draw of at most ``EXPONENTIAL_BLOCK``
-    exponentials: up to k* + 64 + min(0.1 k*, 4 sd of the final count), k*
-    the deterministic absorption point, then the rest; draws are sequential,
-    so the split changes no result. Every r_j - 1 is at least -1, so the
-    chunk of ``RUN_CHUNK`` runs holding the crossing ends at most
-    RUN_CHUNK - 1 below the threshold; the running sum starts at the first
-    chunk that does. Until the crossing every sum, in any order, and the
-    threshold carried across draws are integers below 2 n_sites in size,
-    exact in float64, and at it monotone rounding cannot drop below the
-    threshold: the result is that of exact sums, with no int64 wrap.
-
-    The cell's a, first-segment end and first-draw log1p(a*s) table come
-    from ``_chain_plan``, cached per (n_sites, beta, n_sus, n_inf) for the 8
-    most recent cells, at most ``EXPONENTIAL_BLOCK`` floats (512 KB) each. A
-    draw reads the table where it covers the draw and otherwise computes the
-    same values the same way, so the cache changes no draw and no result.
+    Positions k are walked in rounds of equal blocks, one gamma draw giving
+    every block's threshold spacings and period sum. Given T_(k) = x, the N
+    thresholds above x are x + Exp(1) each, so the j-th of them is
+    x - log1p(-G_j / G_(N+1)), G_j a sum of j exponentials. A block whose
+    last threshold lies below the pressure before it holds no crossing; from
+    the first other one on, blocks are filled position by position, a few
+    per pass, from normalized exponential partial sums (exact given the
+    block's sums: the Dirichlet bridge), and the first crossing is k*. The
+    first round spans the deterministic absorption point plus 4 sd of the
+    final count, a block about its square root (at least 64 positions).
+    Thresholds are compared in units of 1/a, so no a*S overflows.
     """
     _check_counts(n_sites, n_sus, n_inf)
     if not beta > 0.0:
         raise InvalidProfileError(f"beta must be positive, got {beta}")
-    if n_inf == 0:
-        return n_sus, 0
-    a, end, table = _chain_plan(n_sites, beta, operator.index(n_sus), n_inf)
-    need = n_inf - 1.0  # what this draw's sum of r_j - 1 must reach
-    for start, stop in ((0, end), (end, n_sus)):
-        for k0 in range(start, stop, EXPONENTIAL_BLOCK):
-            m = min(EXPONENTIAL_BLOCK, stop - k0)
-            if k0 + m <= table.size:
-                lam = table[k0:k0 + m]
-            else:
-                lam = np.arange(n_sus - k0, n_sus - k0 - m, -1.0)
-                np.log1p(np.multiply(lam, a, out=lam), out=lam)
-            runs = rng.standard_exponential(m)
-            np.floor(np.divide(runs, lam, out=runs), out=runs)
-            runs -= 1.0
-            ends = np.add.reduceat(runs, np.arange(0, m, RUN_CHUNK))
-            np.add.accumulate(ends, out=ends)  # each chunk's end sum
-            low = need - (RUN_CHUNK - 1)  # the crossing chunk ends at least this high
-            c = int((ends >= low).argmax())
-            if ends[c] >= low:
-                tail = runs[c * RUN_CHUNK:]
-                np.add.accumulate(tail, out=tail)
-                rest = need - ends[c - 1] if c else need
-                j = int((tail >= rest).argmax())
-                if tail[j] >= rest:
-                    k_end = k0 + c * RUN_CHUNK + j
-                    return n_sus - k_end, n_inf + 2 * k_end
-            need -= ends[-1]
+    n_sus = operator.index(n_sus)
+    if n_inf == 0 or n_sus == 0:
+        return n_sus, n_inf
+    a = beta / n_sites
+    s = rng.standard_gamma(n_inf)  # S_(n_inf)
+    x = rng.standard_exponential() / n_sus  # T_(1)
+    if x > a * s:
+        return n_sus, n_inf
+    k, (k_est, span) = 1, _absorption_estimate(a, n_sus, n_inf)
+    size = min(max(64, math.isqrt(math.ceil(k_est))), BLOCK_MAX)
+    while k < n_sus:  # x = T_(k), s = S_(n_inf + k - 1)
+        left = n_sus - k
+        nb = min(max(1, math.ceil(min(span, left) / size)), BLOCK_MAX)
+        r = min(left - (nb - 1) * size, size)  # positions in the last block
+        m = (nb - 1) * size + r
+        g = rng.standard_gamma(size, (2, nb))  # threshold spacings; periods
+        if r < size:
+            g[:, -1] = rng.standard_gamma(r, 2)
+        g[0] /= -(g[0].sum() + rng.standard_gamma(left + 1 - m))  # -G / G_(N+1)
+        hi = np.add.accumulate(g, axis=1)
+        lo = hi - g
+        lo[1] += s  # the pressure before each block
+        ends = np.log1p(hi[0])
+        np.subtract(x, ends, out=ends)  # each block's last threshold
+        live = ends / a > lo[1]  # the other blocks hold no crossing
+        i, w = 0, 3  # the crossing is within 3 live blocks in most runs
+        while live[i:].any():
+            i += int(live[i:].argmax())
+            j = min(i + w, nb)
+            e = rng.standard_exponential((2, j - i, size))
+            if r < size and j == nb:
+                e[:, -1, r:] = 0.0  # a crossing past r is one at n_sus
+            c = np.add.accumulate(e, axis=2)
+            c /= c[:, :, -1:]
+            c *= g[:, i:j, None]
+            c += lo[:, i:j, None]  # -G / G_(N+1) and pressure at each position
+            t = np.log1p(c[0], out=c[0])
+            hit = (x - t) / a > c[1]
+            h = int(hit.argmax())
+            if hit.flat[h]:
+                k_end = min(k + i * size + h, n_sus)
+                return n_sus - k_end, n_inf + 2 * k_end
+            i, w = j, min(2 * w, max(1, BLOCK_MAX // size))
+        k += m
+        x = float(ends[-1])
+        s += float(hi[1, -1])
+        span = left
     return 0, n_inf + 2 * n_sus

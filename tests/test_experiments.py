@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from epilattice import MeanField, TorusGrid, build_kernel, particle
+from epilattice import MeanField, TorusGrid, build_kernel
 from epilattice.cli import _csv_text, _manifest_text, _write_run
 from epilattice.config import ExperimentConfig
 from epilattice.errors import ConfigError
@@ -109,25 +109,16 @@ def test_run_critical_sweep_small():
 
 def test_golden_critical_sweep():
     # pinned final susceptible counts and events of a small d = 1 sweep:
-    # any change to the sweep's seeds or to the absorption chain's stream
+    # any change to the sweep's seeds or to the threshold sampler's stream
     # moves them
     config = ExperimentConfig(L_values=(50, 100), betas=(0.5, 2.0),
                               alpha=0.25, replicas=3, seed=3)
     result = run_critical_sweep(config)
     finals = [round(row[5] * row[2]) for row in result.rows]
-    assert finals == [19, 30, 25, 51, 47, 44, 9, 9, 7, 19, 11, 3]
+    assert finals == [24, 27, 27, 48, 50, 52, 2, 8, 4, 17, 13, 6]
     assert [row[5] for row in result.rows] == [
         n_sus / row[2] for n_sus, row in zip(finals, result.rows)]
-    assert result.events == 946
-
-
-def test_critical_sweep_builds_one_plan_per_cell():
-    # the replicas of one (beta, L) cell share its absorption plan
-    config = ExperimentConfig(d=2, L_values=(100,), betas=(2.0,), alpha=0.45,
-                              replicas=5, seed=1)
-    run_critical_sweep(config)
-    info = particle._chain_plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    assert result.events == 938
 
 
 @pytest.mark.parametrize("replicas", [4, 5])

@@ -15,7 +15,6 @@ from epilattice.particle import (
     INFECTED,
     REMOVED,
     SUSCEPTIBLE,
-    EXPONENTIAL_BLOCK,
     UNIFORM_BLOCK,
     EpidemicState,
     _advance,
@@ -714,7 +713,7 @@ def test_mean_field_tracks_ode_at_moderate_size():
 
 
 # ---------------------------------------------------------------------------
-# final sizes from the mean-field absorption chain
+# final sizes from the mean-field threshold form, against the exact chain law
 # ---------------------------------------------------------------------------
 
 def _ks_pvalue(a, b):
@@ -815,83 +814,61 @@ def test_absorb_mean_field_passes_a_chi_square_test_of_its_exact_law(beta):
     assert stat < critical
 
 
+@pytest.mark.parametrize("block", [3, 16])
+def test_absorb_mean_field_passes_a_chi_square_test_in_small_blocks(monkeypatch, block):
+    # blocks of 3 or 16 positions, at most that many per round: every run
+    # walks several rounds and fills several blocks; master seed and draw
+    # count were fixed before any outcome was seen
+    monkeypatch.setattr(particle, "BLOCK_MAX", block)
+    n, n_inf, draws = 200, 5, 5000
+    pmf = _final_susceptible_pmf(n, 2.0, n - n_inf, n_inf)
+    rng = make_rng(2027)
+    finals = [absorb_mean_field(n, 2.0, n - n_inf, n_inf, rng)[0] for _ in range(draws)]
+    stat, critical = _chi_square(np.bincount(finals, minlength=n - n_inf + 1), pmf)
+    assert stat < critical
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.2, 3.0])
+def test_absorb_mean_field_passes_a_chi_square_test_from_three_infected(beta):
+    # 20,000 final counts at n = 400 from 3 infected sites, where early
+    # extinction and a major outbreak both carry mass; master seed and draw
+    # count were fixed before any outcome was seen
+    n, n_inf, draws = 400, 3, 20000
+    pmf = _final_susceptible_pmf(n, beta, n - n_inf, n_inf)
+    rng = make_rng(2028)
+    finals = [absorb_mean_field(n, beta, n - n_inf, n_inf, rng)[0] for _ in range(draws)]
+    stat, critical = _chi_square(np.bincount(finals, minlength=n - n_inf + 1), pmf)
+    assert stat < critical
+
+
+def test_run_to_absorption_passes_a_chi_square_test_of_the_mean_field_law():
+    # the event loop on the mean-field kernel against the exact chain law:
+    # 3,000 runs at n = 100 from 5 infected sites, seeds fixed before any
+    # outcome was seen
+    kernel = build_kernel(TorusGrid(1, 100), MeanField())
+    n, n_inf, draws = 100, 5, 3000
+    pmf = _final_susceptible_pmf(n, 2.0, n - n_inf, n_inf)
+    finals = [round(run_to_absorption(init_exact_counts(
+        kernel, 2.0, n - n_inf, n_inf, seed)).x_inf * n) for seed in range(draws)]
+    stat, critical = _chi_square(np.bincount(finals, minlength=n - n_inf + 1), pmf)
+    assert stat < critical
+
+
 def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
-    # the chain without blocks: every recovery run drawn in one call and
-    # summed in int64
-    k = np.arange(n_sus)
-    runs = rng.standard_exponential(n_sus) / np.log1p(beta / n_sites * (n_sus - k))
-    cum = np.cumsum(runs.astype(np.int64))
-    hit = np.flatnonzero(cum >= n_inf + k)
+    # Sellke's threshold form without blocks: every threshold and every
+    # period drawn, and the first k with T_(k+1) > a*S_(n_inf+k)
+    thresholds = np.sort(rng.standard_exponential(n_sus))
+    periods = np.cumsum(rng.standard_exponential(n_inf + n_sus))[n_inf - 1:-1]
+    hit = np.flatnonzero(thresholds > beta / n_sites * periods)
     k_end = int(hit[0]) if hit.size else n_sus
     return n_sus - k_end, n_inf + 2 * k_end
-
-
-#: the critical benchmark's (beta, L) cells in d = 2, as (n, beta, n_sus, n_inf)
-CRITICAL_CELLS = [(L * L, beta, L * L - round(L**1.55), round(L**1.55))
-                  for beta in (0.8, 2.0) for L in (100, 160)]
-
-
-def test_absorb_mean_field_carries_across_blocks():
-    n = 3 * EXPONENTIAL_BLOCK
-    for seed in range(4):
-        final = absorb_mean_field(n, 2.0, n - 200, 200, make_rng(seed))
-        assert final == _absorb_at_once(n, 2.0, n - 200, 200, make_rng(seed))
-        # absorbed past the first draw of the first segment, so the carry was used
-        assert n - 200 - final[0] > EXPONENTIAL_BLOCK
-
-
-@pytest.mark.parametrize("block", [97, 4096, 65_536])
-def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
-    # standard_exponential draws are sequential, so splitting the same stream
-    # into other draws leaves every recovery run, and so the result, as it
-    # was; 97 is no multiple of RUN_CHUNK, so a draw ends in a short chunk,
-    # and the threshold is carried across draws many times per run. The
-    # default block gets 200 seeds per cell.
-    monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", block)
-    particle._chain_plan.cache_clear()  # and again after the test (conftest)
-    for cell in CRITICAL_CELLS:
-        for seed in range(200 if block == EXPONENTIAL_BLOCK else 8):
-            assert absorb_mean_field(*cell, make_rng(seed)) == _absorb_at_once(
-                *cell, make_rng(seed))
-
-
-def test_absorb_mean_field_reads_a_plan_built_at_another_block_size(monkeypatch):
-    # a plan's table covers the first draw at the block size it was built
-    # at; at another, draws read the part of it they fall in, or their own
-    for first, then in ((EXPONENTIAL_BLOCK, 97), (97, EXPONENTIAL_BLOCK)):
-        particle._chain_plan.cache_clear()
-        monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", first)
-        for cell in CRITICAL_CELLS:
-            absorb_mean_field(*cell, make_rng(0))
-        monkeypatch.setattr(particle, "EXPONENTIAL_BLOCK", then)
-        for cell in CRITICAL_CELLS:
-            for seed in range(8):
-                assert absorb_mean_field(*cell, make_rng(seed)) == _absorb_at_once(
-                    *cell, make_rng(seed))
-        assert particle._chain_plan.cache_info().misses == len(CRITICAL_CELLS)
-
-
-def test_absorb_mean_field_finds_a_crossing_that_falls_back_within_its_chunk():
-    # at seed 43 of (beta, L) = (0.8, 100) the running sum of r_j - 1 first
-    # reaches n_inf - 1 at k = 2043 and is back below it at k = 2047, where
-    # its chunk of RUN_CHUNK runs ends: a search for chunks that end at or
-    # above the threshold would pass the crossing by
-    n, beta, n_sus, n_inf = CRITICAL_CELLS[0]
-    k = np.arange(n_sus)
-    runs = np.floor(make_rng(43).standard_exponential(n_sus)
-                    / np.log1p(beta / n * (n_sus - k))) - 1.0
-    cum = np.cumsum(runs)
-    assert np.flatnonzero(cum >= n_inf - 1)[0] == 2043
-    assert cum[2047] < n_inf - 1 and 2048 % particle.RUN_CHUNK == 0
-    assert absorb_mean_field(n, beta, n_sus, n_inf, make_rng(43)) == (
-        n_sus - 2043, n_inf + 2 * 2043)
 
 
 #: cells whose runs stray far from the estimated absorption point
 OFF_ESTIMATE_CELLS = [
     (10_000, 1.0, 8741, 1259),   # critical
     (5000, 1.5, 4999, 1),        # one seed: dies out early or breaks out
-    (5000, 1.1, 4999, 1),        # some runs absorb past the sized blocks
+    (5000, 1.1, 4999, 1),        # one seed near threshold: runs stray widely
     (100, 150.0, 99, 1),         # every site gets infected
     (60, 2.0, 50, 10),           # fewer than 64 susceptible sites
     (100, 2.0, 0, 7),            # none susceptible
@@ -902,52 +879,25 @@ OFF_ESTIMATE_IDS = ["critical", "one-seed", "one-seed-near-critical", "all-infec
 
 @pytest.mark.parametrize("cell", OFF_ESTIMATE_CELLS, ids=OFF_ESTIMATE_IDS)
 def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
-    # the blocks are sized from a deterministic estimate of the absorption
-    # point; where the runs stray far from it the result is still the one a
-    # single block gives
-    results = [absorb_mean_field(*cell, make_rng(seed)) for seed in range(40)]
-    assert results == [_absorb_at_once(*cell, make_rng(seed)) for seed in range(40)]
+    # the first round is sized from a deterministic estimate of the
+    # absorption point; where the runs stray far from it the final counts
+    # still have the law of the threshold form drawn in one block (KS, 400
+    # runs a side, seeds fixed before any outcome was seen)
+    results = [absorb_mean_field(*cell, make_rng(seed)) for seed in range(400)]
+    once = [_absorb_at_once(*cell, make_rng(10**6 + seed))[0] for seed in range(400)]
     finals = [final for final, _ in results]
     _, beta, n_sus, n_inf = cell
+    assert all(events == n_inf + 2 * (n_sus - final) for final, events in results)
+    assert (sorted(finals) == sorted(once)  # KS needs two distinct samples
+            or _ks_pvalue(np.array(finals), np.array(once)) > 0.001)
     if beta == 1.5:
         assert min(finals) < 0.7 * n_sus < max(finals)
-    if beta == 150.0:
-        assert finals == [0] * 40
+    if beta == 150.0:  # the first event is a recovery w.p. 1 / (1 + 148.5)
+        assert finals.count(0) >= 0.95 * len(finals)
     if n_sus == 0:
         rng = make_rng(3)
         assert absorb_mean_field(*cell, rng) == (0, n_inf)
         assert _position(rng) == _position(make_rng(3))  # drew nothing
-
-
-@pytest.mark.parametrize("cell", CRITICAL_CELLS + OFF_ESTIMATE_CELLS,
-                         ids=[f"L{round(c[0] ** 0.5)}-beta{c[1]}" for c in CRITICAL_CELLS]
-                         + OFF_ESTIMATE_IDS)
-def test_absorb_mean_field_gives_the_same_draws_from_a_cold_and_a_warm_plan(cell):
-    # each seed from a cleared plan cache, then again from the cached plan
-    seeds = range(200 if cell in CRITICAL_CELLS else 40)
-    expected = [_absorb_at_once(*cell, make_rng(seed)) for seed in seeds]
-    cold = []
-    for seed in seeds:
-        particle._chain_plan.cache_clear()
-        cold.append(absorb_mean_field(*cell, make_rng(seed)))
-    assert particle._chain_plan.cache_info().currsize == 1
-    warm = [absorb_mean_field(*cell, make_rng(seed)) for seed in seeds]
-    assert cold == expected and warm == expected
-    assert particle._chain_plan.cache_info().hits >= len(seeds)
-
-
-def test_chain_plan_table_is_read_only_and_at_most_a_block():
-    big = 3 * EXPONENTIAL_BLOCK  # its first segment, about 0.8 n, outgrows a block
-    for cell in CRITICAL_CELLS + [(big, 2.0, big - 200, 200)]:
-        absorb_mean_field(*cell, make_rng(0))
-        a, end, table = particle._chain_plan(*cell)  # the cached plan
-        n_sus = cell[2]
-        assert table.size == min(end, EXPONENTIAL_BLOCK)
-        assert np.array_equal(table, np.log1p(a * np.arange(n_sus, n_sus - table.size, -1.0)))
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-    assert end > EXPONENTIAL_BLOCK
-    assert particle._chain_plan.cache_info().currsize == len(CRITICAL_CELLS) + 1
 
 
 def _position(rng):
@@ -955,23 +905,6 @@ def _position(rng):
     # the next word of its buffered block
     state = rng.bit_generator.state
     return state["state"]["counter"].tolist(), state["buffer_pos"]
-
-
-def test_absorb_mean_field_draws_less_than_a_block_on_a_small_subcritical_cell():
-    # beta = 0.8, L = 100 in d = 2 with round(L^1.55) infected sites absorbs
-    # near k = 2,000, so a full first block of UNIFORM_BLOCK exponentials
-    # would leave about half of them unread
-    n, n_inf = 10_000, round(100 ** 1.55)
-    for seed in range(3):
-        rng, twin = make_rng(seed), make_rng(seed)
-        final, _ = absorb_mean_field(n, 0.8, n - n_inf, n_inf, rng)
-        drawn = 0  # exponentials the twin has drawn
-        while _position(twin) != _position(rng) and drawn <= UNIFORM_BLOCK:
-            twin.standard_exponential()
-            drawn += 1
-        # it read one run per infection up to the absorbing one
-        assert n - n_inf - final < drawn < UNIFORM_BLOCK
-        assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("n_sites, n_sus", [(100, 60.5), (5000, 1000.5)])
@@ -1001,3 +934,19 @@ def test_absorb_mean_field_edge_cases():
         absorb_mean_field(100, 2.0, -1, 1, rng)
     with pytest.raises(InvalidProfileError):
         absorb_mean_field(100, 0.0, 90, 10, rng)
+
+
+@pytest.mark.filterwarnings("error")
+def test_absorb_mean_field_takes_extreme_cells_without_warnings():
+    # a*Gamma far below every threshold, or at and past float range (beta =
+    # 1e308 on 10 sites), and a run over 10^6 sites from one infected one
+    for seed in range(20):
+        assert absorb_mean_field(100, 1e-300, 90, 10, make_rng(seed)) == (90, 10)
+        assert absorb_mean_field(10, 1e308, 7, 3, make_rng(seed)) == (0, 3 + 2 * 7)
+        assert absorb_mean_field(10, 1e308, 9, 1, make_rng(seed)) == (0, 1 + 2 * 9)
+    n = 10**6
+    for seed in range(20):
+        final, events = absorb_mean_field(n, 2.0, n - 1, 1, make_rng(seed))
+        assert events == 1 + 2 * (n - 1 - final)
+        # dies out early, or ends near the root 0.2032 of x = e^{2(x-1)}
+        assert final > n - 1000 or abs(final / n - 0.2032) < 0.01
