@@ -864,6 +864,20 @@ def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
     return n_sus - k_end, n_inf + 2 * k_end
 
 
+def _same_law(cell, results, seeds):
+    # the final counts of ``results`` against as many runs of the threshold
+    # form drawn in one block, at seeds 10^6 + s (KS, p > 0.001)
+    once = [_absorb_at_once(*cell, make_rng(10**6 + seed))[0] for seed in seeds]
+    finals = [final for final, _ in results]
+    return (sorted(finals) == sorted(once)  # KS needs two distinct samples
+            or _ks_pvalue(np.array(finals), np.array(once)) > 0.001)
+
+
+#: the critical benchmark's (beta, L) cells in d = 2, as (n, beta, n_sus, n_inf)
+CRITICAL_CELLS = [(L * L, beta, L * L - round(L**1.55), round(L**1.55))
+                  for beta in (0.8, 2.0) for L in (100, 160)]
+
+
 #: cells whose runs stray far from the estimated absorption point
 OFF_ESTIMATE_CELLS = [
     (10_000, 1.0, 8741, 1259),   # critical
@@ -877,6 +891,83 @@ OFF_ESTIMATE_IDS = ["critical", "one-seed", "one-seed-near-critical", "all-infec
                     "few-susceptible", "none-susceptible"]
 
 
+def test_absorb_mean_field_carries_across_blocks():
+    # about 0.8 n of 3 x BLOCK_MAX positions get infected, so the crossing
+    # lies many blocks into the round, past the threshold and pressure each
+    # block carries to the next; seeds fixed before any outcome was seen
+    n = 3 * particle.BLOCK_MAX
+    cell, seeds = (n, 2.0, n - 200, 200), range(200)
+    results = [absorb_mean_field(*cell, make_rng(seed)) for seed in seeds]
+    assert all(n - 200 - final > particle.BLOCK_MAX for final, _ in results)
+    assert all(events == 200 + 2 * (n - 200 - final) for final, events in results)
+    assert _same_law(cell, results, seeds)
+
+
+@pytest.mark.parametrize("block", [97, 4096, 65_536])
+def test_absorb_mean_field_does_not_depend_on_block_size(monkeypatch, block):
+    # BLOCK_MAX caps the positions per block, the blocks per round and the
+    # blocks per fill pass: at 97 the (2.0, 160) cell walks two rounds of
+    # capped blocks, at 65,536 no cap binds; the final counts keep the law of
+    # the threshold form drawn in one block (seeds fixed before any outcome
+    # was seen)
+    monkeypatch.setattr(particle, "BLOCK_MAX", block)
+    seeds = range(200)
+    for cell in CRITICAL_CELLS:
+        results = [absorb_mean_field(*cell, make_rng(seed)) for seed in seeds]
+        assert _same_law(cell, results, seeds)
+
+
+@pytest.mark.parametrize("cell", CRITICAL_CELLS + OFF_ESTIMATE_CELLS,
+                         ids=[f"L{round(c[0] ** 0.5)}-beta{c[1]}" for c in CRITICAL_CELLS]
+                         + OFF_ESTIMATE_IDS)
+def test_absorb_mean_field_gives_the_same_draws_from_a_cold_and_a_warm_plan(
+        monkeypatch, cell):
+    # each call plans its first round from its own estimate and keeps
+    # nothing: a seed drawn cold, then again after every other cell has been
+    # drawn, reads the same numbers and gives the same result
+    seeds = range(200 if cell in CRITICAL_CELLS else 40)
+    estimates = []
+
+    def counting(*args):
+        estimates.append(args)
+        return estimate(*args)
+
+    estimate = particle._absorption_estimate
+    monkeypatch.setattr(particle, "_absorption_estimate", counting)
+    cold, ends = [], []
+    for seed in seeds:
+        rng = make_rng(seed)
+        cold.append(absorb_mean_field(*cell, rng))
+        ends.append(_position(rng))
+    planned = len(estimates)
+    assert planned == sum(final < cell[2] for final, _ in cold)  # one per round walk
+    for other in CRITICAL_CELLS + OFF_ESTIMATE_CELLS:
+        absorb_mean_field(*other, make_rng(1))
+    del estimates[:]
+    for seed, first, end in zip(seeds, cold, ends):
+        rng = make_rng(seed)
+        assert absorb_mean_field(*cell, rng) == first
+        assert _position(rng) == end
+    assert len(estimates) == planned
+
+
+def test_absorb_mean_field_draws_less_than_a_block_on_a_small_subcritical_cell():
+    # beta = 0.8, L = 100 in d = 2 with round(L^1.55) infected sites absorbs
+    # near k = 2,000; the chain read one exponential per infection, the
+    # threshold form reads a gamma per block and fills about three blocks,
+    # fewer words than infections and than a block of UNIFORM_BLOCK
+    n, n_inf = 10_000, round(100 ** 1.55)
+    for seed in range(3):
+        rng, twin = make_rng(seed), make_rng(seed)
+        final, _ = absorb_mean_field(n, 0.8, n - n_inf, n_inf, rng)
+        drawn = 0  # 64-bit words the twin has read
+        while _position(twin) != _position(rng) and drawn <= UNIFORM_BLOCK:
+            twin.bit_generator.random_raw()
+            drawn += 1
+        assert drawn < n - n_inf - final and drawn < UNIFORM_BLOCK
+        assert rng.random() == twin.random()
+
+
 @pytest.mark.parametrize("cell", OFF_ESTIMATE_CELLS, ids=OFF_ESTIMATE_IDS)
 def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
     # the first round is sized from a deterministic estimate of the
@@ -884,12 +975,10 @@ def test_absorb_mean_field_matches_one_block_where_the_estimate_is_off(cell):
     # still have the law of the threshold form drawn in one block (KS, 400
     # runs a side, seeds fixed before any outcome was seen)
     results = [absorb_mean_field(*cell, make_rng(seed)) for seed in range(400)]
-    once = [_absorb_at_once(*cell, make_rng(10**6 + seed))[0] for seed in range(400)]
     finals = [final for final, _ in results]
     _, beta, n_sus, n_inf = cell
     assert all(events == n_inf + 2 * (n_sus - final) for final, events in results)
-    assert (sorted(finals) == sorted(once)  # KS needs two distinct samples
-            or _ks_pvalue(np.array(finals), np.array(once)) > 0.001)
+    assert _same_law(cell, results, range(400))
     if beta == 1.5:
         assert min(finals) < 0.7 * n_sus < max(finals)
     if beta == 150.0:  # the first event is a recovery w.p. 1 / (1 + 148.5)
