@@ -7,7 +7,7 @@ susceptible density.
 """
 from __future__ import annotations
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .grid import (
     DiscreteKernel,

@@ -7,51 +7,44 @@ site x becomes infected at rate
 
 an infected site recovers at rate 1, and events are realized one at a time.
 Nothing is approximated — the simulator implements the jump chain of the
-continuous-time Markov process exactly. Two samplers realize it event by
-event, and a third draws mean-field final sizes alone:
+continuous-time Markov process exactly. One sampler realizes it event by
+event on every kernel, and a second draws mean-field final sizes alone:
 
-* finite-support kernels use thinning (Lewis & Shedler 1979; Cota &
-  Ferreira 2017): every infected site recovers at rate 1 and fires
-  infection attempts at the constant rate c = beta * gamma^d * sum(w), each
-  aimed at y + z with probability w[z] / sum(w). An attempt commits only
-  when its target is susceptible; a rejected one changes nothing but the
-  clock. The proposal rate n_inf * (1 + c) is known exactly, no rate is
-  stored, and a committed event costs at most 1 + c attempts on average.
-  After ``REJECTION_STREAK`` rejections in a row (at a huge c they may never
-  end) the event is drawn from the per-site rates instead, exactly, since
-  waits are memoryless;
-* the mean-field kernel makes every susceptible site equivalent — the whole
-  infection channel carries rate beta * gamma^d * n_sus * n_inf exactly, and
-  the site is drawn uniformly from a susceptible registry;
-* by that same equivalence the mean-field final count has Sellke's
-  threshold form (Sellke, J. Appl. Probab. 20 (1983) 390; Ball, Adv.
-  Appl. Probab. 18 (1986) 289): every susceptible site holds an Exp(1)
-  threshold, every infected site an Exp(1) infectious period, and a site
-  is infected once a = beta * gamma^d times the periods of those infected
-  so far passes its threshold. ``absorb_mean_field`` draws the final count
+* thinning (Lewis & Shedler 1979; Cota & Ferreira 2017): every infected
+  site recovers at rate 1 and fires infection attempts at the constant rate
+  c = beta * gamma^d * sum(w), each aimed at y + z with probability
+  w[z] / sum(w); on the mean-field kernel c = beta and the target is a
+  uniform site. An attempt commits only when its target is susceptible; a
+  rejected one changes nothing but the clock. The proposal rate
+  n_inf * (1 + c) is known exactly, no rate is stored, and a committed
+  event costs at most 1 + c attempts on average. Once no susceptible site
+  is left no attempt is proposed. After ``REJECTION_STREAK`` rejections in
+  a row (at a huge c they may never end) the event is drawn from the
+  per-site rates instead, exactly, since waits are memoryless;
+* the mean-field kernel makes every susceptible site equivalent, so its
+  final count has Sellke's threshold form (Sellke, J. Appl. Probab. 20
+  (1983) 390; Ball, Adv. Appl. Probab. 18 (1986) 289): every susceptible
+  site holds an Exp(1) threshold, every infected site an Exp(1) infectious
+  period, and a site is infected once a = beta * gamma^d times the periods
+  of those infected so far passes its threshold. ``absorb_mean_field`` draws the final count
   this way, with the law ``run_to_absorption`` realizes but not its
   stream, and no event loop. Sorted thresholds and period sums are drawn
   in blocks whose sums have closed-form laws, so only the few blocks
   around the absorption point are drawn one number per site.
 
-The registries (infected sites; on the mean-field path also susceptible
-sites) are plain lists. A draw picks a registry slot, and the commit
-removes that entry by moving the last one into its place and popping, so
-add and remove are O(1) and no site-to-slot map is kept. Each sampler
-draws and commits in one loop over locals (``_advance``). The thinning
-constants are built once per kernel: the cumulative weights, and the
-haloed site index (``DiscreteKernel._index``), through which an attempt
-finds its target site with one addition and two lookups and no division.
-Per-site rates are computed on demand from the infected registry through
-the same index (``site_rates``) and audited against the convolution
-definition (``audit_rates``). Random numbers are consumed in a
-fixed per-event order, so a run is bit-reproducible from (seed, config).
-The state owns its generator: the thinning path reads uniforms by index
-from blocks of ``UNIFORM_BLOCK``, read ahead of use, and the mean-field
-path draws registry slots as ``Generator.integers`` draws them, from the
-bit generator's own words (``BitGenerator.ctypes``); no generator state
-is ever edited. Those reads skip the bit generator's lock, so nothing
-else may draw from a state's generator while the state runs on it.
+The infected registry is a plain list of sites. A recovery picks a slot,
+and the commit removes that entry by moving the last one into its place and
+popping, so add and remove are O(1) and no site-to-slot map is kept. The
+sampler draws and commits in one loop over locals (``_advance``). The
+thinning constants of a local kernel are built once per kernel: the
+cumulative weights, and the haloed site index (``DiscreteKernel._index``),
+through which an attempt finds its target site with one addition and two
+lookups and no division. Per-site rates are computed on demand from the
+infected registry through the same index (``site_rates``) and audited against
+the convolution definition (``audit_rates``). Random numbers are consumed
+in a fixed per-event order, so a run is bit-reproducible from (seed,
+config). The state owns its generator and reads uniforms by index from
+blocks of ``UNIFORM_BLOCK``, read ahead of use.
 """
 from __future__ import annotations
 
@@ -162,22 +155,15 @@ class EpidemicState:
         self.attempts = 0
         self.uniform_path = kernel.uniform
 
-        # registries: lists of sites in one state, addressed by the slot the
-        # sampler draws; an entry leaves by swapping with the last and popping
+        # the infected registry, addressed by the slot a recovery draws; an
+        # entry leaves by swapping with the last and popping
         self._inf_sites = np.flatnonzero(inf).tolist()
-        if self.uniform_path:
-            self._sus_sites = np.flatnonzero(sus).tolist()
-            self._unit_rate = self.beta * grid.cell_volume()
-            # the words Generator.integers(n) and random() read, served by the
-            # bit generator itself; over 2**32 sites integers switches to
-            # 64-bit draws, and is called instead
-            words = rng.bit_generator.ctypes
-            self._words = (words.state, words.next_double,
-                           words.next_uint32 if grid.n_sites <= 2**32 else None)
+        if self.uniform_path:  # beta * gamma^d * n_sites, with no weights built
+            self._attempt_rate = self.beta
         else:
             self._contrib = self.beta * grid.cell_volume() * kernel.weights
             self._attempt_rate = float(self._contrib.sum())
-            self._uniforms, self._next_uniform = [], 0  # a block, next unread index
+        self._uniforms, self._next_uniform = [], 0  # a block, next unread index
 
     # -- rates ---------------------------------------------------------------
 
@@ -190,8 +176,9 @@ class EpidemicState:
         closed form.
         """
         sus = self.eta == SUSCEPTIBLE
-        if self.uniform_path:
-            return np.where(sus, self._unit_rate * self.n_inf, 0.0)
+        if self.uniform_path:  # the live count: _advance writes n_inf back on return
+            unit = self.beta * self.grid.cell_volume() * len(self._inf_sites)
+            return np.where(sus, unit, 0.0)
         pad, site_at, step = self.kernel._index
         # offset-major targets, so each site adds its contributions in offset order
         targets = site_at[step[:, None] + pad[self._inf_sites]]
@@ -268,57 +255,36 @@ def init_exact_counts(kernel: DiscreteKernel, beta: float, n_sus: int,
 def _advance(state: EpidemicState, t_stop: float, event=None):
     """Draw and commit events until one would reach time ``t_stop``; return
     that one uncommitted, as (dt, kind, site, slot), or None once no site is
-    infected. ``slot`` indexes the registry the site leaves (infected for a
-    recovery, susceptible for a mean-field infection); a thinning infection
-    has None, and its dt includes the waits of the attempts rejected before
-    it. An ``event`` returned earlier is committed first; if that brings the
-    clock to ``t_stop``, nothing is drawn. The state's fields are held in
-    locals and written back before this returns.
+    infected. ``slot`` indexes the infected registry for a recovery; an
+    infection has None, and its dt includes the waits of the attempts
+    rejected before it. An ``event`` returned earlier is committed first; if
+    that brings the clock to ``t_stop``, nothing is drawn. The state's fields
+    are held in locals and written back before this returns.
+
+    Proposals arrive at the constant rate n_inf * (1 + c); a rejected attempt
+    leaves the state as it was and only adds its wait. An attempt reads its
+    uniforms from the block at index i: wait, source slot, recovery test and,
+    for an infection attempt, target; an event drawn from the rates after
+    REJECTION_STREAK rejections reads three: wait, kind and site. The block is
+    refilled before an attempt that leaves fewer than those three unread.
     """
     time, events, attempts = state.time, state.events, state.attempts
     n_sus, n_inf, n_rem = state.n_sus, state.n_inf, state.n_rem
     eta, inf_sites, rng = state._eta, state._inf_sites, state.rng
-    uniform = state.uniform_path
-    if uniform:
-        sus_sites, unit_rate = state._sus_sites, state._unit_rate
-        bits, next_double, next_uint32 = state._words
-        exponential = rng.standard_exponential
-    else:
-        # thinning: proposals arrive at the constant rate n_inf * (1 + c); a
-        # rejected attempt leaves the state as it was and only adds its wait.
-        # An attempt reads its uniforms from the block at index i: wait,
-        # source slot, recovery test and, for an infection attempt, offset;
-        # an event drawn from the rates after REJECTION_STREAK rejections
-        # reads three: wait, kind and site. The block is refilled before an
-        # attempt that leaves fewer than those three unread.
-        per_site = 1.0 + state._attempt_rate
+    # with no susceptible site left only recoveries remain, at rate 1 each
+    per_site = 1.0 + state._attempt_rate if n_sus else 1.0
+    uniform, n_sites = state.uniform_path, state.grid.n_sites
+    if not uniform:
         cum = state.kernel._thinning
         pad, site_at, step = map(memoryview, state.kernel._index)
-        cum_total, log, streak = cum[-1], math.log, REJECTION_STREAK
-        block, i = state._uniforms, state._next_uniform
-        size = len(block)
+        cum_total = cum[-1]
+    log, streak = math.log, REJECTION_STREAK
+    block, i = state._uniforms, state._next_uniform
+    size = len(block)
     while n_inf:
         if event is not None:  # returned by an earlier call: commit it first
             dt, kind, site, slot = event
             recovery = kind == "recovery"
-        elif uniform:
-            total = unit_rate * n_sus * n_inf + n_inf
-            dt = exponential() / total
-            recovery = next_double(bits) * total < n_inf
-            n, registry = (n_inf, inf_sites) if recovery else (n_sus, sus_sites)
-            if n == 1:
-                slot = 0  # integers(1) draws nothing
-            elif next_uint32 is None:
-                slot = rng.integers(n)
-            else:
-                # Lemire's bounded draw (ACM TOMACS 2019) on 32-bit words, as
-                # integers(n) does it: the product word * n is redrawn while
-                # its low half is under (2**32 - n) % n, which is below n
-                m = next_uint32(bits) * n
-                while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (0x100000000 - n) % n:
-                    m = next_uint32(bits) * n
-                slot = m >> 32
-            site = registry[slot]
         else:
             wait, left = 0.0, streak  # left: rejections until the exact draw
             while True:
@@ -332,7 +298,10 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
                 if recovery:
                     i += 3
                     break
-                site = site_at[pad[site] + step[bisect_right(cum, block[i + 3] * cum_total)]]
+                if uniform:
+                    site = int(block[i + 3] * n_sites)
+                else:
+                    site = site_at[pad[site] + step[bisect_right(cum, block[i + 3] * cum_total)]]
                 i += 4
                 if eta[site] == SUSCEPTIBLE:
                     slot = None
@@ -362,17 +331,15 @@ def _advance(state: EpidemicState, t_stop: float, event=None):
             n_inf -= 1
             n_rem += 1
         else:
-            if slot is not None:
-                sus_sites[slot] = sus_sites[-1]
-                sus_sites.pop()
             eta[site] = INFECTED
             n_sus -= 1
             inf_sites.append(site)
             n_inf += 1
+            if not n_sus:
+                per_site = 1.0
         if time >= t_stop:
             break
-    if not uniform:
-        state._uniforms, state._next_uniform = block, i
+    state._uniforms, state._next_uniform = block, i
     state.time, state.events, state.attempts = time, events, attempts
     state.n_sus, state.n_inf, state.n_rem = n_sus, n_inf, n_rem
     return event
@@ -386,7 +353,7 @@ def _draw_from_rates(state: EpidemicState, u_kind: float, u_pick: float):
     inf_sites = state._inf_sites
     n_inf = len(inf_sites)
     rates = state.site_rates()
-    sites = np.flatnonzero(rates)  # every susceptible site in reach, only those
+    sites = np.flatnonzero(rates > 0.0)  # every susceptible site in reach, only those
     cum = np.cumsum(rates[sites])
     rate = n_inf + (float(cum[-1]) if sites.size else 0.0)
     if u_kind * rate < n_inf or not sites.size:
@@ -456,7 +423,8 @@ def _absorption_estimate(a: float, n_sus: int, n_inf: int) -> tuple[float, float
     and k plus 4 sd of the final count, or n_sus where no sd is finite."""
     # k solves (1/a) log(n_sus / (n_sus - k)) = n_inf + k. In u = log(1 -
     # k/n_sus) that is h(u) = u + a (n_inf + n_sus (1 - e^u)) = 0, h concave,
-    # so Newton steps from the bound u = -a (n_inf + n_sus) rise to the root.
+    # so Newton steps from the bound u = -a (n_inf + n_sus) rise toward the
+    # root; as g -> 1 the six stop short of it, which only sizes the blocks.
     u = -a * (n_inf + n_sus)
     for _ in range(6):
         g = a * n_sus * math.exp(u)

@@ -175,7 +175,7 @@ def test_criterion_04_spatial_fixed_point_vs_pde():
 
 def test_criterion_05_hydro_convergence_rate():
     config = ExperimentConfig(L_values=(100, 1000, 10000), betas=(2.0,),
-                              rho0="0.99", rho1="0.01", replicas=20, seed=7,
+                              rho0="0.95", rho1="0.05", replicas=20, seed=7,
                               t_end=10.0, samples=64, dt=1e-2)
     start = time.perf_counter()
     result = run_hydro_sweep(config)

@@ -39,8 +39,10 @@ def test_simulate_outputs(tmp_path, capsys):
     assert len(finals) == 3
     realized = _realized(out)
     events = sum(int(line.split(",")[3]) for line in finals[1:])
-    # the mean-field sampler rejects no proposal
-    assert realized == {"events": events, "attempts": events}
+    assert realized["events"] == events
+    # the mean-field kernel thins too: some attempts land on no susceptible site
+    assert realized["attempts"] > events
+    assert set(realized) == {"events", "attempts"}
     assert "x_inf" in capsys.readouterr().out
 
 

@@ -1,5 +1,6 @@
 """Event-driven simulator: exact rates, registries, reproducibility."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -134,25 +135,26 @@ def test_first_event_law_matches_site_rates():
     assert abs(waits.mean() - 1 / total) <= 5 / (total * np.sqrt(n))
 
 
-def test_attempts_count_rejections_on_local_kernels_only():
+def test_attempts_count_rejections_on_every_kernel():
+    # both kernels thin: the mean-field kernel's attempts land on removed and
+    # infected sites too
     kernel = build_kernel(TorusGrid(1, 400), TopHat(0.05))
     state = init_random(kernel, 2.0, 0.6, 0.2, 3)
     run_to_absorption(state)
     assert state.attempts > state.events
     state = _mean_field_state(seed=4)
     run_to_absorption(state)
-    assert state.attempts == state.events > 0
+    assert state.attempts > state.events > 0
 
 
-def test_thinning_runs_stuck_on_rejections_keep_the_mean_field_law(monkeypatch):
-    # tophat:0.5 weighs every offset equally, so thinning realizes the
-    # mean-field chain with a = beta / L. At beta = 64 an infected site makes
-    # 64 infection attempts per recovery, nearly all aimed at the 502 removed
-    # sites, so runs of REJECTION_STREAK rejections are common, and the event
-    # still to come is then drawn from the rates. Final counts against the
-    # exact law; seeds and binning were fixed before any outcome was seen.
-    L, beta, n_sus, n_inf, runs = 512, 64.0, 8, 2, 4000
-    kernel = build_kernel(TorusGrid(1, L), TopHat(0.5))
+def _stuck_runs_keep_the_mean_field_law(monkeypatch, spec, n_sus, n_inf):
+    # on L = 512 at beta = 64 an infected site makes 64 infection attempts per
+    # recovery, nearly all aimed at removed sites, so runs of REJECTION_STREAK
+    # rejections are common, and the event still to come is then drawn from
+    # the rates. Final counts against the exact law; seeds and binning were
+    # fixed before any outcome was seen.
+    L, beta, runs = 512, 64.0, 4000
+    kernel = build_kernel(TorusGrid(1, L), spec)
     draw, sus_left = particle._draw_from_rates, []
 
     def counting(state, u_kind, u_pick):
@@ -170,19 +172,46 @@ def test_thinning_runs_stuck_on_rejections_keep_the_mean_field_law(monkeypatch):
     assert sum(n > 0 for n in sus_left) > runs // 4
 
 
-def test_thinning_bound_keeps_the_recovery_clock():
-    # with no susceptible site left and beta = 1e300, an infected site
-    # recovers about once in 1e300 attempts, so every recovery is drawn past
-    # the bound; absorption from 5 infected sites takes the largest of 5
-    # Exp(1) periods, mean H_5 and variance sum 1/k^2
+def test_thinning_runs_stuck_on_rejections_keep_the_mean_field_law(monkeypatch):
+    # tophat:0.5 weighs every offset equally, so thinning realizes the
+    # mean-field chain with a = beta / L
+    _stuck_runs_keep_the_mean_field_law(monkeypatch, TopHat(0.5), 8, 2)
+
+
+@pytest.mark.parametrize("spec, n_sus, n_inf", [
+    (MeanField(), 8, 2), (MeanField(), 6, 12), (TopHat(0.5), 6, 12)],
+    ids=["mean-field-8-2", "mean-field-6-12", "tophat-6-12"])
+def test_thinning_runs_stuck_on_rejections_keep_the_law_on_more_cells(
+        monkeypatch, spec, n_sus, n_inf):
+    # the mean-field kernel thins with uniform targets; from 12 infected
+    # sites the exact draw must read the infected count as it is at that
+    # event, not as it was when the run was last written back
+    _stuck_runs_keep_the_mean_field_law(monkeypatch, spec, n_sus, n_inf)
+
+
+def test_thinning_bound_keeps_the_recovery_clock(monkeypatch):
+    # site 12 is susceptible but out of reach of infected sites 0-4, so at
+    # beta = 1e300 an infected site recovers about once in 1e300 attempts
+    # and every recovery is drawn past the bound; absorption from 5 infected
+    # sites takes the largest of 5 Exp(1) periods, mean H_5 and variance
+    # sum 1/k^2
     kernel = build_kernel(TorusGrid(1, 20), TopHat(0.2))
     eta = np.full(20, REMOVED, dtype=np.int8)
     eta[:5] = INFECTED
+    eta[12] = SUSCEPTIBLE
+    draw, exact = particle._draw_from_rates, []
+
+    def counting(state, u_kind, u_pick):
+        exact.append(state.events)
+        return draw(state, u_kind, u_pick)
+
+    monkeypatch.setattr(particle, "_draw_from_rates", counting)
     runs, harmonic = 2000, sum(1 / k for k in range(1, 6))
     sd = np.sqrt(sum(1 / k**2 for k in range(1, 6)) / runs)
     finals = [run_to_absorption(EpidemicState(kernel, 1e300, eta, make_rng(seed)))
               for seed in range(runs)]
     assert all(final.events == 5 for final in finals)
+    assert len(exact) == 5 * runs
     assert abs(np.mean([final.time for final in finals]) - harmonic) < 5 * sd
 
 
@@ -354,11 +383,11 @@ _NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
 @pytest.mark.parametrize("grid, spec, init, mid, end", [
     (TorusGrid(2, 40), MeanField(),
      lambda k: init_exact_counts(k, 1.5, 1400, 20, 2024),
-     (141, 141, "3.0047424516948733",
-      "3b7e94514d8432e12dcfc2fa7f42331144e95951b0af31343ca3902ddb00a197",
-      "d937e076d47d4a048567128c5d90d1d01e942a5e793a471018248a710180a4bc"),
-     (726, 726, "15.680309460392797",
-      "1efd7dac2d4150ac1f7e118f9d48725fcaf3d076382c65ed02157bb88917cb3c",
+     (194, 212, "3.018647210473855",
+      "2e30edfb5022b2c44da644430f1e0fc201e1ae45ac4b89dade56d44ad6afdfdb",
+      "7a0e314576e71bd2fba39e0a0109cace8c03f47865fb6afbdf6dbdbd28e2bf95"),
+     (1360, 1701, "29.879744451737444",
+      "a0f782587ed70e40c97ef6d8e7f08b2919cabbc48d86b28c90425b3fee14dc60",
       _NO_RATES)),
     (TorusGrid(2, 40), TopHat(0.1),
      lambda k: init_random(k, 1.5, 0.85, 0.03, 2024),
@@ -395,8 +424,8 @@ _NO_RATES = "59ec91dcb7dc65b5f928091cb0e25c26729a0a4453ebe7d8244fc1ceae7d9712"
       "09cec5a5bd8afffbb758753810a20c55ccb06a46d7bf54eda69ecd2ad645ef11")),
 ], ids=["mean-field", "thinning", "thinning-d1", "thinning-d3", "thinning-half-torus"])
 def test_golden_trajectories(grid, spec, init, mid, end):
-    # pinned values of both samplers: any change to the random stream, the
-    # draw order or the registry order moves them
+    # pinned values of the event loop on both kinds of kernel: any change to
+    # the random stream, the draw order or the infected registry's order moves them
     state = init(build_kernel(grid, spec))
     run_sampled(state, [0.5, 1.5, 3.0])
     assert _fingerprint(state) == mid
@@ -404,64 +433,28 @@ def test_golden_trajectories(grid, spec, init, mid, end):
     assert _fingerprint(state) == end
 
 
-_BOUND_SIZES = [1, 2, 3, 2**31 + 5, 2**32 - 1, 2**32]
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64,
-                                           np.random.SFC64, np.random.MT19937])
-@pytest.mark.parametrize("prefill", [False, True], ids=["half-empty", "half-full"])
-def test_slot_draw_matches_generator_integers(bit_generator, prefill):
-    # the uniform sampler draws registry slots from the bit generator's
-    # 32-bit words; they must equal Generator.integers(n) called in the event
-    # loop's order.
-    # Registries are stood in for by ranges, so n can reach 2**32.
-    kernel = build_kernel(TorusGrid(1, 10), MeanField())
-    rng, twin = (np.random.Generator(bit_generator(11)) for _ in range(2))
-    if prefill:  # leaves a buffered 32-bit half-word, where there is one
-        rng.integers(5)
-        twin.integers(5)
-    state = EpidemicState(kernel, 1.0, np.ones(10, dtype=np.int8), rng)
-    pick = np.random.default_rng(0)
-    random_n = (pick.integers(1, 1000, 200).tolist()
-                + pick.integers(1, 2**32, 200, endpoint=True).tolist())
-    for n in [n for n in _BOUND_SIZES for _ in range(25)] + random_n:
-        # (n, 0) draws a recovery slot among n; (1, n) often an infection slot
-        for n_inf, n_sus in ((n, 0), (1, n)):
-            state.n_inf, state.n_sus = n_inf, n_sus
-            state._inf_sites, state._sus_sites = range(n_inf), range(n_sus)
-            total = state._unit_rate * n_sus * n_inf + n_inf
-            dt = twin.standard_exponential() / total
-            if twin.random() * total < n_inf:
-                expected = (dt, "recovery", twin.integers(n_inf))
-            else:
-                expected = (dt, "infection", twin.integers(n_sus))
-            dt, kind, site, slot = _advance(state, state.time)  # uncommitted
-            assert (dt, kind, slot) == expected and site == slot
-    # both consumed the same raw words
-    assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
-
-
 @pytest.mark.parametrize("bit_generator, prefill, pinned", [
     (np.random.MT19937, False,
-     (2036, 2036, "21.371613430639677",
-      "31422998842ad66235afe498fa3aa090b8a94b9054de6b4865699dce4c385984",
-      2911932060)),
+     (1976, 2533, "19.811701617576187",
+      "b530f932013468a63b5bbec6a7771d9df66ba5388c743b349a0fe73402c92c9a",
+      2175498109)),
     (np.random.Philox, True,
-     (1524, 1524, "24.346280819201944",
-      "5bfcabbeefa4aed104165a2551a108beaa68ff781c915d501482092b1c5c88ae",
-      17172228280106860901)),
+     (1676, 2040, "36.85825622378652",
+      "050ae128e47c0c647ecaaf9fdddcd5ece21f2847d53b5a560b4319d67d8b167b",
+      6351600440360145254)),
     (np.random.PCG64, True,
-     (1838, 1838, "29.245215157273428",
-      "6eb07de9c3c6f2b4c4571f51aa030ddfee23134074559c2c243d4b9a0111a5fa",
-      15138898767602735842)),
+     (2164, 2784, "20.645216499281165",
+      "97cfd4d5737782597009d23b912d29d4d14479b31bb8dd376a1f823b2c34fdc4",
+      12029430096618315376)),
     (np.random.SFC64, True,
-     (1802, 1802, "16.697382227618785",
-      "fc026fdad283b3a87bf55d7f12c1bfcbb2943ede1bd611c5c5b8d01caa7be158",
-      11188256529640884891)),
+     (1840, 2334, "26.079567651225165",
+      "4d6159de8acccb3ce5d588d1202576a53f9160281d0bafe8b6351eda46521111",
+      5587114725443642554)),
 ], ids=["MT19937", "Philox-half-full", "PCG64-half-full", "SFC64-half-full"])
 def test_golden_mean_field_runs_across_generators(bit_generator, prefill, pinned):
-    # pinned when every slot came from Generator.integers: the events, clock,
-    # final eta and the next raw word after the run
+    # the event loop reads uniform blocks through Generator.random on any bit
+    # generator, a buffered 32-bit half-word left as it was: the events,
+    # attempts, clock, final eta and the next raw word after the run
     kernel = build_kernel(TorusGrid(2, 40), MeanField())
     eta = np.zeros(1600, dtype=np.int8)
     eta[::80] = INFECTED
@@ -480,7 +473,7 @@ def test_golden_mean_field_runs_across_generators(bit_generator, prefill, pinned
 def test_state_leaves_the_generator_as_it_found_it(bit_generator):
     # building a state edits no generator state, the buffered half-word
     # included, and after one event the generator must continue exactly like
-    # a twin that made the same draws through Generator.integers
+    # a twin that drew one block of uniforms
     kernel = build_kernel(TorusGrid(1, 100), MeanField())
     eta = np.zeros(100, dtype=np.int8)
     eta[::10] = INFECTED
@@ -489,48 +482,9 @@ def test_state_leaves_the_generator_as_it_found_it(bit_generator):
     twin.integers(5)
     state = EpidemicState(kernel, 2.0, eta, rng)
     np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
-    record = gillespie_step(state)
-    twin.standard_exponential()
-    twin.random()
-    twin.integers(10 if record.kind == "recovery" else 90)
+    gillespie_step(state)
+    twin.random(UNIFORM_BLOCK)
     assert np.array_equal(rng.integers(2**31, size=3), twin.integers(2**31, size=3))
-
-
-def _lemire_slot(words, n):
-    # Generator.integers(n) for 1 < n <= 2**32, on the bit generator's words
-    while True:
-        m = words.next_uint32(words.state) * n
-        low = m & 0xFFFFFFFF
-        if low >= n or low >= (2**32 - n) % n:
-            return m >> 32
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
-                                           np.random.PCG64, np.random.PCG64DXSM,
-                                           np.random.SFC64])
-@pytest.mark.parametrize("prefill", [False, True], ids=["half-empty", "half-full"])
-def test_bit_generator_words_are_the_ones_generator_draws_read(bit_generator, prefill):
-    # the mean-field sampler reads next_uint32 and next_double through
-    # BitGenerator.ctypes, between standard_exponential calls, and relies on
-    # them being the words integers(n) and random() read, buffered 32-bit
-    # half-word included
-    rng, twin = (np.random.Generator(bit_generator(29)) for _ in range(2))
-    if prefill:
-        rng.integers(5)
-        twin.integers(5)
-    words = rng.bit_generator.ctypes
-    pick = np.random.default_rng(3)
-    # small bounds reject rarely, bounds over 2**31 up to half the time
-    bounds = np.where(pick.random(10_000) < 0.5, pick.integers(2, 1000, 10_000),
-                      pick.integers(2**31, 2**32, 10_000, endpoint=True))
-    for kind, n in zip(pick.integers(3, size=10_000).tolist(), bounds.tolist()):
-        if kind == 0:
-            assert _lemire_slot(words, n) == twin.integers(n)
-        elif kind == 1:
-            assert words.next_double(words.state) == twin.random()
-        else:
-            assert rng.standard_exponential() == twin.standard_exponential()
-    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def _final_state(state):
@@ -722,11 +676,19 @@ def _ks_pvalue(a, b):
     grid = np.concatenate([a, b])
     stat = np.abs(np.searchsorted(a, grid, side="right") / a.size
                   - np.searchsorted(b, grid, side="right") / b.size).max()
+    if stat == 0.0:  # the series below sums to 0 there, not to its limit 1
+        return 1.0
     en = np.sqrt(a.size * b.size / (a.size + b.size))
     lam = (en + 0.12 + 0.11 / en) * stat
     j = np.arange(1, 101)
     return float(np.clip(2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * lam) ** 2)),
                          0.0, 1.0))
+
+
+def test_ks_pvalue_reads_one_on_equal_samples():
+    assert _ks_pvalue(np.zeros(400), np.zeros(400)) == 1.0
+    assert _ks_pvalue(np.array([1., 2, 3] * 100), np.array([3., 1, 2] * 100)) == 1.0
+    assert _ks_pvalue(np.arange(400.0), np.arange(400.0) + 100) < 1e-6
 
 
 @pytest.mark.parametrize("beta, n_inf", [(2.0, 104), (0.8, 104), (2.0, 4)],
@@ -854,6 +816,47 @@ def test_run_to_absorption_passes_a_chi_square_test_of_the_mean_field_law():
     assert stat < critical
 
 
+def _counts_pmf_at(n_sites, beta, n_sus, n_inf, times):
+    # exact law of the mean-field counts (s, i) at each time, flattened
+    # s-major, by uniformization: P(t) = sum_k Pois(k; lam t) (I + Q / lam)^k,
+    # each power pushing the mass of (s, i) to (s - 1, i + 1) at rate a s i
+    # and to (s, i - 1) at rate i, a = beta / n_sites
+    s, i = np.ogrid[:n_sus + 1, :n_sus + n_inf + 1]
+    infect, recover = beta / n_sites * s * i, i + 0.0 * s
+    lam = float((infect + recover).max())
+    mass = np.zeros(infect.shape)
+    mass[n_sus, n_inf] = 1.0
+    laws = [np.zeros(infect.shape) for _ in times]
+    top = lam * times[-1]
+    for k in range(int(top + 10 * math.sqrt(top)) + 20):
+        for law, t in zip(laws, times):  # Poisson weights in logs: no underflow
+            law += math.exp(k * math.log(lam * t) - lam * t - math.lgamma(k + 1)) * mass
+        step = mass * (1.0 - (infect + recover) / lam)
+        step[:-1, 1:] += (mass * infect / lam)[1:, :-1]
+        step[:, :-1] += (mass * recover / lam)[:, 1:]
+        mass = step
+    assert all(abs(law.sum() - 1.0) < 1e-12 for law in laws)
+    return [law.ravel() for law in laws]
+
+
+def test_run_sampled_passes_a_chi_square_test_of_the_mean_field_law_at_each_time():
+    # the joint counts (s, i) of run_sampled's snapshots on the mean-field
+    # kernel against the exact time-t law: 5,000 runs at n = 64, beta = 2
+    # from 60 susceptible and 4 infected sites; seeds, times and binning were
+    # fixed before any outcome was seen
+    n, beta, n_sus, n_inf, times = 64, 2.0, 60, 4, [0.5, 1.5, 4.0]
+    kernel = build_kernel(TorusGrid(1, n), MeanField())
+    width = n_sus + n_inf + 1
+    counts = np.zeros((len(times), (n_sus + 1) * width), dtype=np.int64)
+    for seed in range(5000):
+        samples = run_sampled(init_exact_counts(kernel, beta, n_sus, n_inf, seed), times)
+        for row, sample in zip(counts, samples):
+            row[round(sample.x * n) * width + round(sample.y * n)] += 1
+    for row, pmf in zip(counts, _counts_pmf_at(n, beta, n_sus, n_inf, times)):
+        stat, critical = _chi_square(row, pmf)
+        assert stat < critical
+
+
 def _absorb_at_once(n_sites, beta, n_sus, n_inf, rng):
     # Sellke's threshold form without blocks: every threshold and every
     # period drawn, and the first k with T_(k+1) > a*S_(n_inf+k)
@@ -869,8 +872,7 @@ def _same_law(cell, results, seeds):
     # form drawn in one block, at seeds 10^6 + s (KS, p > 0.001)
     once = [_absorb_at_once(*cell, make_rng(10**6 + seed))[0] for seed in seeds]
     finals = [final for final, _ in results]
-    return (sorted(finals) == sorted(once)  # KS needs two distinct samples
-            or _ks_pvalue(np.array(finals), np.array(once)) > 0.001)
+    return _ks_pvalue(np.array(finals), np.array(once)) > 0.001
 
 
 #: the critical benchmark's (beta, L) cells in d = 2, as (n, beta, n_sus, n_inf)
